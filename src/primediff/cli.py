@@ -21,17 +21,7 @@ from .errors import (
 )
 from .factors import two_factor
 from .generators import cycle_diff23, cycle_two_primes, edge_disjoint_cycles, path_diff23
-from .graphs import (
-    CycleWitness,
-    Interval,
-    PathWitness,
-    TwoFactorWitness,
-    verify_cycle,
-    verify_path,
-    verify_two_factor,
-    witness_from_json,
-    witness_to_json,
-)
+from .graphs import Interval, TwoFactorWitness, verify, witness_from_json, witness_to_json
 from .oracle import brute_hamilton_path, brute_infeasible_pairs
 from .paths import (
     hamilton_cycle,
@@ -136,18 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify_any(w):
-    if isinstance(w, PathWitness):
-        return verify_path(w)
-    if isinstance(w, CycleWitness):
-        return verify_cycle(w)
-    return verify_two_factor(w)
-
-
 def _cmd_verify(args) -> int:
     obj = json.loads(sys.stdin.read())
     w = witness_from_json(obj)
-    v = _verify_any(w)
+    v = verify(w)
     if args.json:
         out = {**witness_to_json(w), "ok": bool(v)}
         if not v:

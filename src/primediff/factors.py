@@ -13,9 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
-from .errors import ConstructionError, Infeasible
-from .graphs import Interval, TwoFactorWitness, verify_two_factor
+from .errors import Infeasible
+from .graphs import Interval, TwoFactorWitness, certify
 from .paths import hamilton_cycle, path_1_to_m
+from .transforms import shift_seq
 
 # ---------------------------------------------------------------------------
 # Fixed blocks on [1, size].  Each entry lists cycles covering the interval
@@ -55,7 +56,7 @@ def _c3_with(big: int) -> tuple[tuple[int, ...], ...]:
     # big >= 9: triangle on {1, 3, 6}, the long cycle threads the rest via a
     # 7 -> 8 Hamilton path of [7, 3 + big] closed through 5 and wrapped back
     # to 2 and 4 (differences 2, 3, and 8 - 5 = 3).
-    inner = tuple(v + 6 for v in path_1_to_m(big - 3, 2).sequence)
+    inner = shift_seq(path_1_to_m(big - 3, 2).sequence, 6)
     return ((1, 3, 6), (5, 2, 4) + inner)
 
 
@@ -64,18 +65,16 @@ def _c4_with(big: int) -> tuple[tuple[int, ...], ...]:
     if big in _C4_WITH:
         return _C4_WITH[big]
     n = 4 + big
-    inner = tuple(v + 7 for v in path_1_to_m(n - 7, 2).sequence)
+    inner = shift_seq(path_1_to_m(n - 7, 2).sequence, 7)
     return ((2, 5, 7, 4), (6, 1, 3) + inner)
 
 
 def _two_c3_with(big: int) -> tuple[tuple[int, ...], ...]:
     """{3, 3, big} on [1, 6 + big]."""
-    if big == 4:
-        return _TWO_C3_C4
     if big == 5:
         return _TWO_C3_C5
     n = 6 + big
-    inner = tuple(v + 7 for v in path_1_to_m(n - 7, 3).sequence)
+    inner = shift_seq(path_1_to_m(n - 7, 3).sequence, 7)
     return ((1, 3, 6), (2, 4, 7), (5,) + inner)
 
 
@@ -149,7 +148,7 @@ def _realize(n: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
         shift = lo - 1
         size = 0
         for cyc in block:
-            cycles.append(tuple(v + shift for v in cyc))
+            cycles.append(shift_seq(cyc, shift))
             size += len(cyc)
         lo += size
 
@@ -244,9 +243,4 @@ def two_factor(n: int, lengths: Iterable[int]) -> TwoFactorWitness:
         )
     else:
         cycles = _realize(n, parts)
-
-    w = TwoFactorWitness(Interval(1, n), tuple(cycles))
-    v = verify_two_factor(w, expected_lengths=parts)
-    if not v:
-        raise ConstructionError(f"2-factor self-check failed: {v.reason} {v.detail}")
-    return w
+    return certify(TwoFactorWitness(Interval(1, n), tuple(cycles)), expected_lengths=parts)

@@ -10,28 +10,11 @@ collide with a pair containing 2 or 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ConstructionError, Infeasible, NotFound
-from .graphs import (
-    CycleWitness,
-    Interval,
-    PathWitness,
-    canonical_cycle,
-    verify_cycle,
-    verify_edge_disjoint,
-    verify_path,
-)
+from .errors import Infeasible, NotFound
+from .graphs import CycleWitness, DisjointFamily, Interval, PathWitness, canonical_cycle, certify
 from .paths import hamilton_cycle
 from .primes import is_prime, prime_arithmetic_progression, prime_pair_decompositions
-
-
-def _checked_cycle23(n: int, seq: tuple[int, ...]) -> CycleWitness:
-    w = CycleWitness(Interval(1, n), seq)
-    v = verify_cycle(w, allowed_diffs={2, 3})
-    if not v:
-        raise ConstructionError(f"{{2,3}} cycle self-check failed: {v.reason} {v.detail}")
-    return w
+from .transforms import complement_seq
 
 
 def path_diff23(n: int) -> PathWitness:
@@ -46,11 +29,7 @@ def path_diff23(n: int) -> PathWitness:
         seq = tuple(range(n, 5, -2)) + (3, 1, 4, 2) + tuple(range(5, n, 2))
     else:
         seq = tuple(range(n, 4, -2)) + (2, 4, 1, 3) + tuple(range(6, n, 2))
-    w = PathWitness(Interval(1, n), seq)
-    v = verify_path(w, (n, n - 1))
-    if not v or any(abs(x - y) not in (2, 3) for x, y in zip(seq, seq[1:])):
-        raise ConstructionError("difference-{2,3} path self-check failed")
-    return w
+    return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(n, n - 1), allowed_diffs={2, 3})
 
 
 def cycle_diff23(n: int) -> CycleWitness:
@@ -61,7 +40,7 @@ def cycle_diff23(n: int) -> CycleWitness:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if n == 5:
-        return _checked_cycle23(5, (1, 4, 2, 5, 3))
+        return certify(CycleWitness(Interval(1, 5), (1, 4, 2, 5, 3)), allowed_diffs={2, 3})
     if n < 10:
         raise Infeasible(f"no {{2, 3}}-difference Hamilton cycle at order {n}", n=n)
     # Glue two difference-{2,3} paths: one on [1, h+1] from h+1 to h, one on
@@ -71,8 +50,8 @@ def cycle_diff23(n: int) -> CycleWitness:
     h = n // 2
     a_part = path_diff23(h + 1).sequence
     p = path_diff23(n - h + 1).sequence
-    b_part = tuple(n + 1 - v for v in p)  # h -> h+1 on [h, n]
-    return _checked_cycle23(n, a_part + b_part[1:-1])
+    b_part = complement_seq(p, 1, n)  # h -> h+1 on [h, n]
+    return certify(CycleWitness(Interval(1, n), a_part + b_part[1:-1]), allowed_diffs={2, 3})
 
 
 def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
@@ -91,30 +70,7 @@ def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"({p}, {q}) is not a prime pair")
     seq = canonical_cycle(tuple((i * p) % n + 1 for i in range(n)))
-    w = CycleWitness(Interval(1, n), seq)
-    v = verify_cycle(w, allowed_diffs={p, q})
-    if not v:
-        raise ConstructionError(f"two-prime cycle self-check failed: {v.reason} {v.detail}")
-    return w
-
-
-@dataclass(frozen=True)
-class DisjointFamily:
-    """Pairwise edge-disjoint Hamilton cycles of one interval."""
-
-    interval: Interval
-    cycles: tuple[CycleWitness, ...]
-    sources: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-
-def _family(n: int, cycles: list[CycleWitness], sources: list[str]) -> DisjointFamily:
-    v = verify_edge_disjoint(cycles)
-    if not v:
-        raise ConstructionError(f"family self-check failed: {v.reason} {v.detail}")
-    return DisjointFamily(Interval(1, n), tuple(cycles), tuple(sources))
+    return certify(CycleWitness(Interval(1, n), seq), allowed_diffs={p, q})
 
 
 def edge_disjoint_cycles(n: int) -> DisjointFamily:
@@ -144,7 +100,7 @@ def edge_disjoint_cycles(n: int) -> DisjointFamily:
     if not cycles:
         cycles.append(hamilton_cycle(n))
         sources.append("fallback")
-    return _family(n, cycles, sources)
+    return certify(DisjointFamily(Interval(1, n), tuple(cycles), tuple(sources)))
 
 
 def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointFamily]:
@@ -169,4 +125,4 @@ def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointF
         p, q = ap[i], ap[2 * t - 1 - i]
         cycles.append(cycle_two_primes(n, (p, q)))
         sources.append(f"pair:{p},{q}")
-    return n, _family(n, cycles, sources)
+    return n, certify(DisjointFamily(Interval(1, n), tuple(cycles), tuple(sources)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import primes
+from .errors import ConstructionError
 
 # Violation reason codes carried by failing verdicts.
 NOT_PERMUTATION = "NotPermutation"
@@ -88,6 +89,18 @@ class TwoFactorWitness:
 
 
 @dataclass(frozen=True)
+class DisjointFamily:
+    """Pairwise edge-disjoint Hamilton cycles of one interval."""
+
+    interval: Interval
+    cycles: tuple[CycleWitness, ...]
+    sources: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of a verification; falsy iff a violation was found."""
 
@@ -106,32 +119,55 @@ def _fail(reason: str, **detail) -> Verdict:
     return Verdict(False, reason, detail or None)
 
 
-def _is_permutation(seq: tuple[int, ...], lo: int, hi: int) -> bool:
+def _walk(seq, lo: int, hi: int, closed: bool, allowed) -> Verdict:
+    """The one pass over a witness's steps, wrapping around when closed.
+
+    Callers have already checked the vertex set, so every difference is at
+    most hi - lo.  The loop reads one table: the shared prime bitmap, or its
+    restriction to `allowed`; which rule a step broke is decided only after
+    the first miss.
+    """
+    flags = primes.prime_flags(hi - lo)
+    ok = flags
+    if allowed is not None:
+        ok = bytearray(hi - lo + 1)
+        for d in allowed:
+            if 0 <= d <= hi - lo:
+                ok[d] = flags[d]
+    for i, (a, b) in enumerate(zip(seq, seq[1:] + seq[:1] if closed else seq[1:])):
+        if not ok[abs(b - a)]:
+            d = abs(b - a)
+            reason = DISALLOWED_DIFFERENCE if flags[d] else NON_PRIME_DIFFERENCE
+            return _fail(reason, position=i, difference=d)
+    return OK
+
+
+def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, allowed_diffs=None) -> Verdict:
+    """Path (closed: cycle) checks, in the order their violations take precedence."""
+    seq = w.sequence
+    lo, hi = w.interval.lo, w.interval.hi
     n = hi - lo + 1
-    return (
-        len(seq) == n
-        and len(set(seq)) == n
-        and min(seq) == lo
-        and max(seq) == hi
-    )
+    if len(seq) != n or len(set(seq)) != n or min(seq) != lo or max(seq) != hi:
+        return _fail(NOT_PERMUTATION)
+    if closed and len(seq) < 3:
+        return _fail(SHORT_CYCLE, length=len(seq))
+    v = _walk(seq, lo, hi, closed, allowed_diffs)
+    if not v:
+        return v
+    if expected_endpoints is not None and (seq[0], seq[-1]) != tuple(expected_endpoints):
+        return _fail(WRONG_ENDPOINTS, expected=tuple(expected_endpoints), actual=(seq[0], seq[-1]))
+    if required_edge is not None:
+        # Look the edge up at its lower end instead of building every edge.
+        e = tuple(sorted(frozenset(required_edge)))
+        i = seq.index(e[0]) if len(e) == 2 and e[0] in seq else None
+        if i is None or e[1] not in (seq[i - 1], seq[(i + 1) % len(seq)]):
+            return _fail(MISSING_REQUIRED_EDGE, edge=e)
+    return OK
 
 
 def verify_path(w: PathWitness, expected_endpoints: tuple[int, int] | None = None) -> Verdict:
     """Permutation of the interval, prime consecutive differences, endpoints."""
-    seq = w.sequence
-    lo, hi = w.interval.lo, w.interval.hi
-    if not _is_permutation(seq, lo, hi):
-        return _fail(NOT_PERMUTATION)
-    flags = primes.prime_flags(hi - lo)
-    for i, (a, b) in enumerate(zip(seq, seq[1:])):
-        if not flags[abs(b - a)]:
-            return _fail(NON_PRIME_DIFFERENCE, position=i, difference=abs(b - a))
-    if expected_endpoints is not None:
-        want = tuple(expected_endpoints)
-        got = (seq[0], seq[-1])
-        if got != want:
-            return _fail(WRONG_ENDPOINTS, expected=want, actual=got)
-    return OK
+    return _verify_seq(w, False, expected_endpoints=expected_endpoints)
 
 
 def verify_cycle(
@@ -140,24 +176,7 @@ def verify_cycle(
     allowed_diffs: frozenset | set | None = None,
 ) -> Verdict:
     """As verify_path, closed cyclically; optional edge and difference constraints."""
-    seq = w.sequence
-    lo, hi = w.interval.lo, w.interval.hi
-    if not _is_permutation(seq, lo, hi):
-        return _fail(NOT_PERMUTATION)
-    if len(seq) < 3:
-        return _fail(SHORT_CYCLE, length=len(seq))
-    flags = primes.prime_flags(hi - lo)
-    for i, (a, b) in enumerate(zip(seq, seq[1:] + seq[:1])):
-        d = abs(b - a)
-        if not flags[d]:
-            return _fail(NON_PRIME_DIFFERENCE, position=i, difference=d)
-        if allowed_diffs is not None and d not in allowed_diffs:
-            return _fail(DISALLOWED_DIFFERENCE, position=i, difference=d)
-    if required_edge is not None:
-        e = frozenset(required_edge)
-        if e not in cycle_edges(seq):
-            return _fail(MISSING_REQUIRED_EDGE, edge=tuple(sorted(e)))
-    return OK
+    return _verify_seq(w, True, required_edge=required_edge, allowed_diffs=allowed_diffs)
 
 
 def verify_two_factor(w: TwoFactorWitness, expected_lengths=None) -> Verdict:
@@ -173,11 +192,10 @@ def verify_two_factor(w: TwoFactorWitness, expected_lengths=None) -> Verdict:
         seen |= s
     if len(seen) != hi - lo + 1 or (seen and (min(seen) != lo or max(seen) != hi)):
         return _fail(NOT_PARTITION)
-    flags = primes.prime_flags(hi - lo)
     for idx, cyc in enumerate(w.cycles):
-        for i, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
-            if not flags[abs(b - a)]:
-                return _fail(NON_PRIME_DIFFERENCE, cycle=idx, position=i, difference=abs(b - a))
+        v = _walk(cyc, lo, hi, True, None)
+        if not v:
+            return _fail(v.reason, cycle=idx, **v.detail)
     if expected_lengths is not None:
         want = tuple(sorted(expected_lengths))
         got = w.lengths
@@ -198,6 +216,30 @@ def verify_edge_disjoint(cycles) -> Verdict:
                 return _fail(SHARED_EDGE, edge=tuple(sorted(e)), cycles=(owner[e], idx))
             owner[e] = idx
     return OK
+
+
+def verify(w, **claims) -> Verdict:
+    """Check any witness with the verifier of its type.
+
+    `claims` are that verifier's keyword arguments; a path also accepts
+    `allowed_diffs`, as a cycle does.
+    """
+    if isinstance(w, (PathWitness, CycleWitness)):
+        return _verify_seq(w, isinstance(w, CycleWitness), **claims)
+    if isinstance(w, TwoFactorWitness):
+        return verify_two_factor(w, **claims)
+    if isinstance(w, DisjointFamily):
+        return verify_edge_disjoint(w.cycles, **claims)
+    raise TypeError(f"not a witness: {type(w).__name__}")
+
+
+def certify(w, **claims):
+    """Return w once `verify(w, **claims)` accepts it; raise ConstructionError
+    otherwise.  Every constructor returns through here."""
+    v = verify(w, **claims)
+    if not v:
+        raise ConstructionError(f"{type(w).__name__} self-check failed: {v.reason} {v.detail}")
+    return w
 
 
 def cycle_edges(seq: tuple[int, ...]) -> set[frozenset]:
@@ -240,10 +282,11 @@ def witness_from_json(obj) -> PathWitness | CycleWitness | TwoFactorWitness:
         seqs = obj["sequences"]
     except KeyError as e:
         raise ValueError(f"witness missing field {e.args[0]!r}") from None
-    if not (isinstance(lo, int) and isinstance(hi, int)):
+    # type() rather than isinstance(): JSON true and false are ints to isinstance.
+    if not (type(lo) is int and type(hi) is int):
         raise ValueError("lo and hi must be integers")
     if not isinstance(seqs, list) or not all(
-        isinstance(s, list) and all(isinstance(v, int) for v in s) for s in seqs
+        isinstance(s, list) and all(type(v) is int for v in s) for s in seqs
     ):
         raise ValueError("sequences must be a list of integer lists")
     interval = Interval(lo, hi)

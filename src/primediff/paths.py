@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ConstructionError, Infeasible, NonEdge
-from .graphs import CycleWitness, Interval, PathWitness, verify_cycle, verify_path
+from .errors import Infeasible, NonEdge
+from .graphs import CycleWitness, Interval, PathWitness, certify
 from .primes import is_prime
+from .transforms import complement_seq, reverse_seq, shift_seq
 
 # ---------------------------------------------------------------------------
 # Seed tables.
@@ -65,8 +66,9 @@ INIT_1M: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 # Orders 5..8: the full list of infeasible endpoint pairs, and explicit rows
-# for every feasible pair not reachable from vertex 1 or vertex n.  Rows are
-# stored exactly as tabulated; mirrored rows are their complements.
+# for every feasible pair a > 1 with a <= n + 1 - b; the other pairs start at
+# vertex 1 or are complements of these.  Rows are stored exactly as
+# tabulated, in either orientation.
 
 EXCEPTION_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
     5: frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}),
@@ -76,53 +78,23 @@ EXCEPTION_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
 }
 
 SMALL_ORDER_ROWS: dict[tuple[int, tuple[int, int]], tuple[int, ...]] = {
-    (5, (1, 3)): (1, 4, 2, 5, 3),
-    (5, (3, 5)): (5, 2, 4, 1, 3),
-    (5, (1, 4)): (1, 3, 5, 2, 4),
-    (5, (2, 5)): (5, 3, 1, 4, 2),
     (5, (2, 4)): (2, 5, 3, 1, 4),
     (6, (2, 4)): (2, 5, 3, 6, 1, 4),
-    (6, (3, 5)): (5, 2, 4, 1, 6, 3),
     (6, (2, 5)): (2, 4, 6, 1, 3, 5),
     (7, (2, 3)): (2, 5, 7, 4, 1, 6, 3),
-    (7, (5, 6)): (6, 3, 1, 4, 7, 2, 5),
     (7, (2, 4)): (2, 7, 5, 3, 6, 1, 4),
-    (7, (4, 6)): (6, 1, 3, 5, 2, 7, 4),
     (7, (2, 5)): (2, 7, 4, 6, 1, 3, 5),
-    (7, (3, 6)): (6, 1, 4, 2, 7, 5, 3),
     (7, (2, 6)): (2, 4, 7, 5, 3, 1, 6),
     (7, (3, 5)): (3, 1, 6, 4, 2, 7, 5),
     (8, (2, 3)): (2, 5, 7, 4, 1, 6, 8, 3),
-    (8, (6, 7)): (7, 4, 2, 5, 8, 3, 1, 6),
     (8, (2, 4)): (2, 7, 5, 3, 8, 6, 1, 4),
-    (8, (5, 7)): (7, 2, 4, 6, 1, 3, 8, 5),
     (8, (2, 5)): (2, 7, 4, 6, 1, 8, 3, 5),
-    (8, (4, 7)): (7, 2, 5, 3, 8, 1, 6, 4),
     (8, (2, 6)): (2, 4, 7, 5, 3, 1, 8, 6),
-    (8, (3, 7)): (7, 5, 2, 4, 6, 8, 1, 3),
     (8, (2, 7)): (2, 4, 1, 3, 6, 8, 5, 7),
     (8, (3, 4)): (3, 6, 1, 8, 5, 2, 7, 4),
-    (8, (5, 6)): (6, 3, 8, 1, 4, 7, 2, 5),
     (8, (3, 5)): (3, 1, 8, 6, 4, 2, 7, 5),
-    (8, (4, 6)): (6, 8, 1, 3, 5, 7, 2, 4),
     (8, (3, 6)): (3, 1, 4, 2, 7, 5, 8, 6),
 }
-
-# Pairs of keys whose rows mirror each other under the complement map.
-SMALL_ORDER_MIRRORS: tuple[tuple[tuple[int, tuple[int, int]], tuple[int, tuple[int, int]]], ...] = (
-    ((5, (1, 3)), (5, (3, 5))),
-    ((5, (1, 4)), (5, (2, 5))),
-    ((6, (2, 4)), (6, (3, 5))),
-    ((7, (2, 3)), (7, (5, 6))),
-    ((7, (2, 4)), (7, (4, 6))),
-    ((7, (2, 5)), (7, (3, 6))),
-    ((8, (2, 3)), (8, (6, 7))),
-    ((8, (2, 4)), (8, (5, 7))),
-    ((8, (2, 5)), (8, (4, 7))),
-    ((8, (2, 6)), (8, (3, 7))),
-    ((8, (3, 4)), (8, (5, 6))),
-    ((8, (3, 5)), (8, (4, 6))),
-)
 
 # Order 9 rows for the low-low endpoint patterns whose generic form needs one
 # more vertex of slack.
@@ -149,16 +121,8 @@ BRIDGE_PATCH: dict[tuple[int, int, int], tuple[int, ...]] = {
 
 
 # ---------------------------------------------------------------------------
-# Sequence helpers (plain tuples; wrapping into witnesses happens at the
-# public surface, where the result is verified).
-
-
-def _sh(seq: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return tuple(v + k for v in seq)
-
-
-def _rev(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return seq[::-1]
+# Sequence construction on plain tuples; wrapping into witnesses happens at
+# the public surface, where the result is certified.
 
 
 @lru_cache(maxsize=None)
@@ -173,17 +137,17 @@ def _seed_1m(n: int, m: int) -> tuple[int, ...]:
         k = (n - len(seed)) // 2
         return (
             tuple(range(1, 2 * k, 2))
-            + _sh(seed, 2 * k)
+            + shift_seq(seed, 2 * k)
             + tuple(range(2 * k, 1, -2))
         )
     if m == 3 and n >= 10:
-        return (1, 4, 2) + _sh(_seed_1m(n - 4, 2), 4) + (3,)
+        return (1, 4, 2) + shift_seq(_seed_1m(n - 4, 2), 4) + (3,)
     if m == 4 and n >= 9:
-        return (1, 3) + _sh(_seed_1m(n - 4, 3), 4) + (2, 4)
+        return (1, 3) + shift_seq(_seed_1m(n - 4, 3), 4) + (2, 4)
     if m == 5 and n >= 11:
-        return (1, 3) + _sh(_seed_1m(n - 5, 4), 5) + (4, 2, 5)
+        return (1, 3) + shift_seq(_seed_1m(n - 5, 4), 5) + (4, 2, 5)
     if m == 6 and n >= 11:
-        return (1, 3, 5, 2, 4) + _rev(_sh(_seed_1m(n - 5, 2), 5))
+        return (1, 3, 5, 2, 4) + reverse_seq(shift_seq(_seed_1m(n - 5, 2), 5))
     raise ValueError(f"no base path for (n={n}, m={m})")
 
 
@@ -209,80 +173,68 @@ def _path_1m(n: int, m: int) -> tuple[int, ...]:
     link = _seed_1m(6, 6)
     seq: list[int] = list(link)
     for j in range(1, q):
-        seq.extend(_sh(link, 5 * j)[1:])
-    seq.extend(_sh(_path_1m(n - 5 * q, m - 5 * q), 5 * q)[1:])
+        seq.extend(shift_seq(link, 5 * j)[1:])
+    seq.extend(shift_seq(_path_1m(n - 5 * q, m - 5 * q), 5 * q)[1:])
     return tuple(seq)
 
 
-def _complement_seq(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
-    t = n + 1
-    return tuple(t - v for v in seq)
-
-
-def _small_seq(n: int, a: int, b: int) -> tuple[int, ...]:
-    """Orders 5..8, 1 <= a < b <= n, from the tables."""
-    if (a, b) in EXCEPTION_PAIRS[n]:
+def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
+    """Hamilton path sequence of [1, n] from a to b, 1 <= a < b <= n."""
+    # The exception sets are closed under the mirror, so checking the
+    # caller's own pair first keeps it in the Infeasible report.
+    if n <= 8 and (a, b) in EXCEPTION_PAIRS[n]:
         raise Infeasible(
             f"no Hamilton path between {a} and {b} at order {n}",
             n=n,
             endpoints=(a, b),
         )
-    if a == 1:
-        return _path_1m(n, b)
-    if b == n:
-        return _rev(_complement_seq(_path_1m(n, n + 1 - a), n))
-    row = SMALL_ORDER_ROWS[n, (a, b)]
-    return row if row[0] == a else _rev(row)
-
-
-def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
-    """Hamilton path sequence of [1, n] from a to b, 1 <= a < b <= n."""
-    if n <= 8:
-        return _small_seq(n, a, b)
     if a > n + 1 - b:
         # Mirror into the half where the left endpoint is the tighter one.
-        return _rev(_complement_seq(_ham_seq(n, n + 1 - b, n + 1 - a), n))
+        return reverse_seq(complement_seq(_ham_seq(n, n + 1 - b, n + 1 - a), 1, n))
     if a == 1:
         return _path_1m(n, b)
+    if n <= 8:
+        row = SMALL_ORDER_ROWS[n, (a, b)]
+        return row if row[0] == a else reverse_seq(row)
     if a >= 6:
         # Cover [1, a] ending next to a+1, then the rest.
-        left = _complement_seq(_path_1m(a, 2), a)  # a -> a-1
+        left = complement_seq(_path_1m(a, 2), 1, a)  # a -> a-1
         if b == a + 1:
-            right = _rev(_sh(_path_1m(n - a, 2), a))  # a+2 -> a+1
+            right = reverse_seq(shift_seq(_path_1m(n - a, 2), a))  # a+2 -> a+1
         else:
-            right = _sh(_path_1m(n - a, b - a), a)  # a+1 -> b
+            right = shift_seq(_path_1m(n - a, b - a), a)  # a+1 -> b
         return left + right
     if b >= 7:
         # Split at vertex 6: cover [1, 6] from a to 6, then [6, n] from 6 to b.
         r = n - 5
         if r >= 6 or (r == 5 and b - 5 in (3, 4)):
-            left = _rev(_complement_seq(_path_1m(6, 7 - a), 6))  # a -> 6
-            right = _sh(_path_1m(r, b - 5), 5)  # 6 -> b
+            left = reverse_seq(complement_seq(_path_1m(6, 7 - a), 1, 6))  # a -> 6
+            right = shift_seq(_path_1m(r, b - 5), 5)  # 6 -> b
             return left + right[1:]
         return BRIDGE_PATCH[n, a, b]
     # 2 <= a < b <= 6: fixed prefixes around one long interior segment.
     if n == 9 and (a, b) in SPECIAL_ORDER9:
         return SPECIAL_ORDER9[a, b]
     if (a, b) == (2, 3):
-        return (2,) + _sh(_path_1m(n - 3, 3), 3) + (1, 3)
+        return (2,) + shift_seq(_path_1m(n - 3, 3), 3) + (1, 3)
     if (a, b) == (2, 4):
-        return (2,) + _sh(_path_1m(n - 4, 4), 4) + (3, 1, 4)
+        return (2,) + shift_seq(_path_1m(n - 4, 4), 4) + (3, 1, 4)
     if (a, b) == (2, 5):
-        return (2, 4, 1, 3) + _rev(_sh(_path_1m(n - 4, 4), 4))
+        return (2, 4, 1, 3) + reverse_seq(shift_seq(_path_1m(n - 4, 4), 4))
     if (a, b) == (2, 6):
-        return (2, 4, 1, 3, 5) + _rev(_sh(_path_1m(n - 5, 3), 5))
+        return (2, 4, 1, 3, 5) + reverse_seq(shift_seq(_path_1m(n - 5, 3), 5))
     if (a, b) == (3, 4):
-        return (3, 1) + _rev(_sh(_path_1m(n - 4, 4), 4)) + (2, 4)
+        return (3, 1) + reverse_seq(shift_seq(_path_1m(n - 4, 4), 4)) + (2, 4)
     if (a, b) == (3, 5):
-        return (3, 1, 4, 2) + _rev(_sh(_path_1m(n - 4, 3), 4))
+        return (3, 1, 4, 2) + reverse_seq(shift_seq(_path_1m(n - 4, 3), 4))
     if (a, b) == (3, 6):
-        return (3, 1, 4, 2) + _sh(_path_1m(n - 4, 2), 4)
+        return (3, 1, 4, 2) + shift_seq(_path_1m(n - 4, 2), 4)
     if (a, b) == (4, 5):
-        return (4, 1, 3) + _sh(_path_1m(n - 5, 4), 5) + (2, 5)
+        return (4, 1, 3) + shift_seq(_path_1m(n - 5, 4), 5) + (2, 5)
     if (a, b) == (4, 6):
-        return (4, 1, 3, 5, 2) + _rev(_sh(_path_1m(n - 5, 4), 5))
+        return (4, 1, 3, 5, 2) + reverse_seq(shift_seq(_path_1m(n - 5, 4), 5))
     if (a, b) == (5, 6):
-        return (5, 2, 4, 1, 3) + _rev(_sh(_path_1m(n - 5, 3), 5))
+        return (5, 2, 4, 1, 3) + reverse_seq(shift_seq(_path_1m(n - 5, 3), 5))
     raise AssertionError(f"unhandled endpoint pair ({a}, {b}) at order {n}")
 
 
@@ -290,28 +242,11 @@ def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
 # Public constructors.
 
 
-def _checked_path(n: int, seq: tuple[int, ...], a: int, b: int) -> PathWitness:
-    w = PathWitness(Interval(1, n), seq)
-    v = verify_path(w, (a, b))
-    if not v:
-        raise ConstructionError(f"path self-check failed: {v.reason} {v.detail}")
-    return w
-
-
-def _checked_cycle(n: int, seq: tuple[int, ...], **constraints) -> CycleWitness:
-    w = CycleWitness(Interval(1, n), seq)
-    v = verify_cycle(w, **constraints)
-    if not v:
-        raise ConstructionError(f"cycle self-check failed: {v.reason} {v.detail}")
-    return w
-
-
 def base_path_1_to_m(n: int, m: int) -> PathWitness:
     """Hamilton path of [1, n] from 1 to m for the base range m in [2, 6]."""
     if not 2 <= m <= 6:
         raise ValueError(f"base construction covers m in [2, 6], got {m}")
-    seq = _seed_1m(n, m)
-    return _checked_path(n, seq, 1, m)
+    return certify(PathWitness(Interval(1, n), _seed_1m(n, m)), expected_endpoints=(1, m))
 
 
 def path_1_to_m(n: int, m: int) -> PathWitness:
@@ -319,8 +254,7 @@ def path_1_to_m(n: int, m: int) -> PathWitness:
 
     At order 5 only m in {3, 4} is realizable; other m raise Infeasible.
     """
-    seq = _path_1m(n, m)
-    return _checked_path(n, seq, 1, m)
+    return certify(PathWitness(Interval(1, n), _path_1m(n, m)), expected_endpoints=(1, m))
 
 
 def hamilton_path(n: int, a: int, b: int) -> PathWitness:
@@ -335,8 +269,8 @@ def hamilton_path(n: int, a: int, b: int) -> PathWitness:
         raise ValueError(f"bad endpoints ({a}, {b}) for order {n}")
     seq = _ham_seq(n, min(a, b), max(a, b))
     if a > b:
-        seq = _rev(seq)
-    return _checked_path(n, seq, a, b)
+        seq = reverse_seq(seq)
+    return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(a, b))
 
 
 def infeasible_pairs(n: int) -> frozenset[tuple[int, int]]:
@@ -360,7 +294,7 @@ def hamilton_cycle(n: int) -> CycleWitness:
     if n < 5:
         raise Infeasible(f"no Hamilton cycle at order {n}", n=n)
     # A 1 -> 4 path closes with the prime difference 3.
-    return _checked_cycle(n, _path_1m(n, 4))
+    return certify(CycleWitness(Interval(1, n), _path_1m(n, 4)))
 
 
 def hamilton_cycle_through_edge(n: int, edge) -> CycleWitness:
@@ -375,4 +309,4 @@ def hamilton_cycle_through_edge(n: int, edge) -> CycleWitness:
     # A Hamilton path between the edge's ends closes through that edge; no
     # prime-difference pair is among the small-order exceptions.
     seq = _ham_seq(n, min(a, b), max(a, b))
-    return _checked_cycle(n, seq, required_edge=(a, b))
+    return certify(CycleWitness(Interval(1, n), seq), required_edge=(a, b))

@@ -1,9 +1,9 @@
-"""Interval symmetries acting on witnesses.
+"""Interval symmetries acting on vertex sequences and on witnesses.
 
 Complement mirrors an interval onto itself (v -> lo + hi - v), shift moves it
 (v -> v + k), both preserving all differences; reversal flips traversal
-order.  They act on whole witnesses so interval bookkeeping travels with the
-vertices.
+order.  The sequence moves are what the constructions are built from; the
+witness moves apply them so interval bookkeeping travels with the vertices.
 """
 
 from __future__ import annotations
@@ -13,16 +13,27 @@ from .graphs import CycleWitness, Interval, PathWitness
 _SEQ_TYPES = (PathWitness, CycleWitness)
 
 
-def _rebuild(w, interval: Interval, seq: tuple[int, ...]):
-    return type(w)(interval, seq)
+def complement_seq(seq: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:
+    """Mirror a sequence on [lo, hi] across the interval midpoint."""
+    t = lo + hi
+    return tuple(t - v for v in seq)
+
+
+def shift_seq(seq: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Translate every vertex by k."""
+    return tuple(v + k for v in seq)
+
+
+def reverse_seq(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Traverse the sequence backwards."""
+    return seq[::-1]
 
 
 def complement(w):
     """Mirror the witness across its interval midpoint; validity is preserved."""
     if not isinstance(w, _SEQ_TYPES):
         raise TypeError(f"cannot complement {type(w).__name__}")
-    t = w.interval.lo + w.interval.hi
-    return _rebuild(w, w.interval, tuple(t - v for v in w.sequence))
+    return type(w)(w.interval, complement_seq(w.sequence, w.interval.lo, w.interval.hi))
 
 
 def shift(w, k: int):
@@ -32,11 +43,11 @@ def shift(w, k: int):
     if w.interval.lo + k < 1:
         raise ValueError(f"shift by {k} drops below vertex 1")
     interval = Interval(w.interval.lo + k, w.interval.hi + k)
-    return _rebuild(w, interval, tuple(v + k for v in w.sequence))
+    return type(w)(interval, shift_seq(w.sequence, k))
 
 
 def reverse(w):
     """Traverse the witness backwards; endpoints swap, edges are unchanged."""
     if not isinstance(w, _SEQ_TYPES):
         raise TypeError(f"cannot reverse {type(w).__name__}")
-    return _rebuild(w, w.interval, tuple(reversed(w.sequence)))
+    return type(w)(w.interval, reverse_seq(w.sequence))

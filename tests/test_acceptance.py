@@ -42,6 +42,26 @@ from primediff.paths import (
 from primediff.primes import is_prime, prime_pair_decompositions
 from primediff.transforms import complement, reverse, shift
 
+# Small-order rows the constructor now derives (by the mirror step or from
+# vertex 1) instead of storing; copied verbatim from the former table, in
+# their tabulated orientation.
+DERIVED_SMALL_ORDER_ROWS = {
+    (5, (1, 3)): (1, 4, 2, 5, 3),
+    (5, (3, 5)): (5, 2, 4, 1, 3),
+    (5, (1, 4)): (1, 3, 5, 2, 4),
+    (5, (2, 5)): (5, 3, 1, 4, 2),
+    (6, (3, 5)): (5, 2, 4, 1, 6, 3),
+    (7, (5, 6)): (6, 3, 1, 4, 7, 2, 5),
+    (7, (4, 6)): (6, 1, 3, 5, 2, 7, 4),
+    (7, (3, 6)): (6, 1, 4, 2, 7, 5, 3),
+    (8, (6, 7)): (7, 4, 2, 5, 8, 3, 1, 6),
+    (8, (5, 7)): (7, 2, 4, 6, 1, 3, 8, 5),
+    (8, (4, 7)): (7, 2, 5, 3, 8, 1, 6, 4),
+    (8, (3, 7)): (7, 5, 2, 4, 6, 8, 1, 3),
+    (8, (5, 6)): (6, 3, 8, 1, 4, 7, 2, 5),
+    (8, (4, 6)): (6, 8, 1, 3, 5, 7, 2, 4),
+}
+
 EXPECTED_EXCEPTIONS = {
     5: {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)},
     6: {(2, 3), (3, 4), (4, 5)},
@@ -99,6 +119,10 @@ def test_criterion_3_golden_rows():
         w = PathWitness(Interval(1, n), seq)
         if not verify_path(w) or {seq[0], seq[-1]} != {a, b}:
             bad.append((n, a, b))
+    for (n, (a, b)), seq in DERIVED_SMALL_ORDER_ROWS.items():
+        # derived rows must come out of the constructor exactly, up to orientation
+        if hamilton_path(n, seq[0], seq[-1]).sequence != seq:
+            bad.append((n, a, b))
     for (a, b), seq in SPECIAL_ORDER9.items():
         if not verify_path(PathWitness(Interval(1, 9), seq), (a, b)):
             bad.append((9, a, b))
@@ -114,7 +138,7 @@ def test_criterion_3_golden_rows():
     )
     rows = len(BASE_SEEDS) + len(INIT_1M) + len(SMALL_ORDER_ROWS) + len(SPECIAL_ORDER9) + len(BRIDGE_PATCH)
     ok = not bad and exact
-    _report(3, ok, f"{rows} stored rows verify; spot rows match exactly")
+    _report(3, ok, f"{rows} stored rows verify; {len(DERIVED_SMALL_ORDER_ROWS)} derived rows and spot rows match exactly")
     assert not bad, bad
     assert exact
 

@@ -171,6 +171,21 @@ def test_verify_malformed_input(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind":"path","lo":true,"hi":5,"sequences":[[1,4,2,5,3]]}',
+        '{"kind":"path","lo":1,"hi":5,"sequences":[[1,4,2,5,true]]}',
+    ],
+    ids=["bool-bound", "bool-vertex"],
+)
+def test_verify_rejects_json_booleans(text, capsys, monkeypatch):
+    feed(monkeypatch, text)
+    code, out, err = invoke(capsys, "verify", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("path", "9", "4", "5"),
@@ -198,3 +213,40 @@ def test_multi_witness_round_trip(capsys, monkeypatch):
         feed(monkeypatch, json.dumps(w))
         code, out2, _ = invoke(capsys, "verify")
         assert code == 0 and out2 == "ok\n"
+
+
+# Pinned sweep: exact stdout, stderr and exit code, byte for byte.
+CYCLE_60_THROUGH_20_27 = (
+    "20,18,16,14,12,10,8,6,3,1,4,2,5,7,9,11,13,15,17,19,21,23,25,22,24,26,28,30,32,34,"
+    "36,38,40,42,44,46,48,50,52,54,57,59,56,58,60,55,53,51,49,47,45,43,41,39,37,35,33,31,29,27"
+)
+PINNED_SWEEP = [
+    (("path", "9", "4", "5", "--json"), None, 0,
+     '{"hi":9,"kind":"path","lo":1,"ok":true,"sequences":[[4,1,3,8,6,9,7,2,5]]}\n', ""),
+    (("path", "7", "4", "5"), None, 1, "",
+     '{"detail":{"endpoints":[4,5],"message":"no Hamilton path between 4 and 5 at order 7","n":7},'
+     '"error":"infeasible"}\n'),
+    (("cycle", "60", "--through", "20,27", "--json"), None, 0,
+     '{"hi":60,"kind":"cycle","lo":1,"ok":true,"sequences":[[' + CYCLE_60_THROUGH_20_27 + "]]}\n", ""),
+    (("two-factor", "19", "--lengths", "3,4,5,7", "--json"), None, 0,
+     '{"hi":19,"kind":"two_factor","lo":1,"ok":true,'
+     '"sequences":[[1,3,6],[2,5,7,4],[8,10,12,9,11],[13,18,15,17,14,19,16]]}\n', ""),
+    (("diff23", "30", "--path", "--json"), None, 0,
+     '{"hi":30,"kind":"path","lo":1,"ok":true,"sequences":[[30,28,26,24,22,20,18,16,14,12,10,8,6,'
+     '3,1,4,2,5,7,9,11,13,15,17,19,21,23,25,27,29]]}\n', ""),
+    (("verify", "--json"), '{"kind":"cycle","lo":1,"hi":4,"sequences":[[2,4,1,3]]}', 1,
+     '{"hi":4,"kind":"cycle","lo":1,"ok":false,"reason":"NonPrimeDifference","sequences":[[2,4,1,3]]}\n',
+     '{"detail":{"difference":1,"position":3},"error":"NonPrimeDifference"}\n'),
+    (("verify",), '{"kind":"two_factor","lo":1,"hi":7,"sequences":[[1,3,6],[2,4,5,7]]}', 1,
+     "violation: NonPrimeDifference\n",
+     '{"detail":{"cycle":1,"difference":1,"position":1},"error":"NonPrimeDifference"}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, out, err", PINNED_SWEEP, ids=[" ".join(case[0]) for case in PINNED_SWEEP]
+)
+def test_pinned_sweep(argv, stdin, code, out, err, capsys, monkeypatch):
+    if stdin is not None:
+        feed(monkeypatch, stdin)
+    assert invoke(capsys, *argv) == (code, out, err)

@@ -12,7 +12,6 @@ from primediff.paths import (
     EXCEPTION_PAIRS,
     INIT_1M,
     BASE_SEEDS,
-    SMALL_ORDER_MIRRORS,
     SMALL_ORDER_ROWS,
     SPECIAL_ORDER9,
     base_path_1_to_m,
@@ -22,6 +21,7 @@ from primediff.paths import (
     infeasible_pairs,
     path_1_to_m,
 )
+from test_acceptance import DERIVED_SMALL_ORDER_ROWS
 
 
 def test_all_stored_rows_are_valid_paths():
@@ -39,14 +39,13 @@ def test_all_stored_rows_are_valid_paths():
         assert verify_path(PathWitness(Interval(1, n), seq), (a, b)), (n, a, b)
 
 
-def test_stored_rows_mirror_consistency():
-    # each mirrored pair of rows maps onto the other under v -> n + 1 - v
-    for (n1, k1), (n2, k2) in SMALL_ORDER_MIRRORS:
-        assert n1 == n2
-        row = SMALL_ORDER_ROWS[n1, k1]
-        mirrored = tuple(n1 + 1 - v for v in row)[::-1]
-        other = SMALL_ORDER_ROWS[n2, k2]
-        assert mirrored in (other, other[::-1]), (n1, k1, k2)
+def test_derived_small_order_rows_reproduced():
+    # rows no longer stored come out of the constructor exactly, in the
+    # orientation asked for; their data lives with acceptance criterion 3
+    for (n, (a, b)), seq in DERIVED_SMALL_ORDER_ROWS.items():
+        assert {seq[0], seq[-1]} == {a, b}, (n, a, b)
+        assert hamilton_path(n, seq[0], seq[-1]).sequence == seq, (n, a, b)
+        assert hamilton_path(n, seq[-1], seq[0]).sequence == seq[::-1], (n, a, b)
 
 
 def test_base_range_validation():

@@ -168,6 +168,8 @@ def test_json_rejects_malformed():
         42,
         {**good, "kind": "loop"},
         {**good, "lo": "1"},
+        {**good, "lo": True},
+        {**good, "sequences": [[1, 4, 2, 5, True]]},
         {**good, "sequences": [[1, 2], [3]]},
         {**good, "sequences": [["a"]]},
         {k: v for k, v in good.items() if k != "hi"},
@@ -192,3 +194,94 @@ def test_verify_path_agrees_with_direct_check(n, data):
     flags = _primes_to(n)
     direct = all(flags[abs(b - a)] for a, b in zip(seq, seq[1:]))
     assert bool(verify_path(w)) == direct
+
+
+# Pinned verdicts: the full (ok, reason, detail) of each call, covering every
+# reason code and the order in which competing violations are reported.
+def _p(lo, hi, seq):
+    return PathWitness(Interval(lo, hi), tuple(seq))
+
+
+def _c(lo, hi, seq):
+    return CycleWitness(Interval(lo, hi), tuple(seq))
+
+
+def _t(lo, hi, *cycles):
+    return TwoFactorWitness(Interval(lo, hi), tuple(map(tuple, cycles)))
+
+
+C9_SEQ = (1, 3, 5, 7, 9, 2, 4, 6, 8)
+
+VERDICT_CORPUS = [
+    ("path ok", lambda: verify_path(_p(1, 5, (1, 4, 2, 5, 3)), (1, 3)), (True, None, None)),
+    ("path short seq", lambda: verify_path(_p(1, 5, (1, 4, 2, 5))), (False, NOT_PERMUTATION, None)),
+    ("path repeat", lambda: verify_path(_p(1, 5, (1, 4, 2, 5, 5))), (False, NOT_PERMUTATION, None)),
+    ("path out of interval", lambda: verify_path(_p(2, 6, (1, 4, 2, 5, 3))), (False, NOT_PERMUTATION, None)),
+    ("path non-prime first", lambda: verify_path(_p(1, 5, (1, 2, 4, 5, 3))),
+     (False, NON_PRIME_DIFFERENCE, {"position": 0, "difference": 1})),
+    ("path non-prime last", lambda: verify_path(_p(1, 6, (2, 4, 1, 3, 5, 6))),
+     (False, NON_PRIME_DIFFERENCE, {"position": 4, "difference": 1})),
+    ("path non-prime before endpoints", lambda: verify_path(_p(1, 5, (1, 2, 4, 5, 3)), (2, 3)),
+     (False, NON_PRIME_DIFFERENCE, {"position": 0, "difference": 1})),
+    ("path endpoints", lambda: verify_path(_p(1, 5, (1, 4, 2, 5, 3)), (3, 1)),
+     (False, WRONG_ENDPOINTS, {"expected": (3, 1), "actual": (1, 3)})),
+    ("path offset interval", lambda: verify_path(_p(11, 15, (11, 14, 12, 15, 13)), (11, 13)), (True, None, None)),
+    ("path order 1", lambda: verify_path(_p(4, 4, (4,)), (4, 4)), (True, None, None)),
+    ("cycle ok", lambda: verify_cycle(_c(1, 9, C9_SEQ), (9, 2), {2, 7}), (True, None, None)),
+    ("cycle not permutation", lambda: verify_cycle(_c(1, 5, (1, 3, 5, 2, 2))), (False, NOT_PERMUTATION, None)),
+    ("cycle short", lambda: verify_cycle(_c(1, 2, (1, 2))), (False, SHORT_CYCLE, {"length": 2})),
+    ("cycle wraparound", lambda: verify_cycle(_c(1, 4, (2, 4, 1, 3))),
+     (False, NON_PRIME_DIFFERENCE, {"position": 3, "difference": 1})),
+    ("cycle disallowed before non-prime", lambda: verify_cycle(_c(1, 6, (1, 3, 5, 6, 2, 4)), allowed_diffs={3}),
+     (False, DISALLOWED_DIFFERENCE, {"position": 0, "difference": 2})),
+    ("cycle non-prime and disallowed same step",
+     lambda: verify_cycle(_c(1, 6, (1, 2, 4, 6, 3, 5)), allowed_diffs={2}),
+     (False, NON_PRIME_DIFFERENCE, {"position": 0, "difference": 1})),
+    ("cycle allowed non-prime", lambda: verify_cycle(_c(1, 4, (2, 4, 1, 3)), allowed_diffs={1, 2, 3}),
+     (False, NON_PRIME_DIFFERENCE, {"position": 3, "difference": 1})),
+    ("cycle allowed out of range", lambda: verify_cycle(_c(1, 5, (1, 4, 2, 5, 3)), allowed_diffs={3, 97}),
+     (False, DISALLOWED_DIFFERENCE, {"position": 1, "difference": 2})),
+    ("cycle empty allowed set", lambda: verify_cycle(_c(1, 5, (1, 4, 2, 5, 3)), allowed_diffs=frozenset()),
+     (False, DISALLOWED_DIFFERENCE, {"position": 0, "difference": 3})),
+    ("cycle non-prime before missing edge", lambda: verify_cycle(_c(1, 4, (2, 4, 1, 3)), required_edge=(1, 4)),
+     (False, NON_PRIME_DIFFERENCE, {"position": 3, "difference": 1})),
+    ("cycle missing edge", lambda: verify_cycle(_c(1, 9, C9_SEQ), required_edge=(1, 4)),
+     (False, MISSING_REQUIRED_EDGE, {"edge": (1, 4)})),
+    ("cycle missing edge frozenset", lambda: verify_cycle(_c(1, 9, C9_SEQ), required_edge=frozenset({8, 3})),
+     (False, MISSING_REQUIRED_EDGE, {"edge": (3, 8)})),
+    ("cycle edge wraparound", lambda: verify_cycle(_c(1, 9, C9_SEQ), required_edge=(1, 8)), (True, None, None)),
+    ("cycle degenerate edge", lambda: verify_cycle(_c(1, 9, C9_SEQ), required_edge=(3, 3)),
+     (False, MISSING_REQUIRED_EDGE, {"edge": (3,)})),
+    ("cycle edge outside interval", lambda: verify_cycle(_c(1, 9, C9_SEQ), required_edge=(9, 11)),
+     (False, MISSING_REQUIRED_EDGE, {"edge": (9, 11)})),
+    ("two-factor ok", lambda: verify_two_factor(_t(1, 7, (1, 3, 6), (2, 5, 7, 4)), (4, 3)), (True, None, None)),
+    ("two-factor short", lambda: verify_two_factor(_t(1, 7, (1, 3), (2, 5, 7, 4, 6))),
+     (False, SHORT_CYCLE, {"cycle": 0, "length": 2})),
+    ("two-factor overlap", lambda: verify_two_factor(_t(1, 7, (1, 3, 6), (2, 5, 7, 3))),
+     (False, NOT_PARTITION, {"cycle": 1})),
+    ("two-factor repeat in cycle", lambda: verify_two_factor(_t(1, 7, (1, 3, 1), (2, 5, 7, 4))),
+     (False, NOT_PARTITION, {"cycle": 0})),
+    ("two-factor cover", lambda: verify_two_factor(_t(1, 8, (1, 3, 6), (2, 5, 7, 4))), (False, NOT_PARTITION, None)),
+    ("two-factor partition before non-prime", lambda: verify_two_factor(_t(1, 8, (1, 2, 6), (3, 5, 7, 4))),
+     (False, NOT_PARTITION, None)),
+    ("two-factor non-prime names cycle", lambda: verify_two_factor(_t(1, 7, (1, 3, 6), (2, 4, 5, 7))),
+     (False, NON_PRIME_DIFFERENCE, {"cycle": 1, "position": 1, "difference": 1})),
+    ("two-factor non-prime wraparound", lambda: verify_two_factor(_t(1, 8, (1, 3, 6), (2, 4, 7, 5, 8))),
+     (False, NON_PRIME_DIFFERENCE, {"cycle": 1, "position": 4, "difference": 6})),
+    ("two-factor non-prime before lengths", lambda: verify_two_factor(_t(1, 7, (1, 3, 6), (2, 4, 5, 7)), (7,)),
+     (False, NON_PRIME_DIFFERENCE, {"cycle": 1, "position": 1, "difference": 1})),
+    ("two-factor lengths", lambda: verify_two_factor(_t(1, 7, (1, 3, 6), (2, 5, 7, 4)), (7,)),
+     (False, WRONG_LENGTH_MULTISET, {"expected": (7,), "actual": (3, 4)})),
+    ("edge-disjoint ok", lambda: verify_edge_disjoint([_c(1, 5, (1, 3, 5, 2, 4)), _c(1, 5, (1, 2, 3, 4, 5))]),
+     (True, None, None)),
+    ("edge-disjoint shared", lambda: verify_edge_disjoint([_c(1, 5, (1, 3, 5, 2, 4)), _c(1, 5, (4, 2, 5, 3, 1))]),
+     (False, SHARED_EDGE, {"edge": (1, 4), "cycles": (0, 1)})),
+]
+
+
+@pytest.mark.parametrize(
+    "call, expected", [pytest.param(call, exp, id=name) for name, call, exp in VERDICT_CORPUS]
+)
+def test_verdict_corpus_is_pinned(call, expected):
+    v = call()
+    assert (v.ok, v.reason, v.detail) == expected
