@@ -2,8 +2,8 @@
 
 Plain output is space-separated vertex sequences (2-factor cycles joined
 with `|`); `--json` emits the witness schema plus {"ok": bool}, byte-stable
-for identical inputs.  Exit codes: 0 success, 1 infeasible or verification
-violation (machine-readable reason on stderr), 2 usage error.
+for identical inputs.  Exit codes: 0 success, 1 infeasible, verification
+violation or resource limit (machine-readable reason on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -229,6 +229,8 @@ def run(argv=None) -> int:
         return _domain_error("order_cap_exceeded", str(e), {"order": e.order, "cap": e.cap})
     except ConstructionError as e:
         return _domain_error("construction_error", str(e), None)
+    except MemoryError:
+        return _domain_error("resource_limit", f"{args.command}: out of memory", None)
     except ValueError as e:
         print(_dumps({"error": "usage", "detail": {"message": str(e)}}), file=sys.stderr)
         return 2

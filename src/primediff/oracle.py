@@ -39,38 +39,54 @@ def _guard(order: int, cap: int) -> None:
         raise OrderCapExceeded(order, cap)
 
 
-def _adjacency(verts: list[int]) -> list[int]:
-    """Bitmask neighbor sets by vertex index."""
-    m = len(verts)
+def _adjacency(verts: list[int]) -> list[list[int]]:
+    """Ascending neighbor indices by vertex index."""
     flags = primes.prime_flags(verts[-1] - verts[0] if verts else 0)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if flags[verts[j] - verts[i]]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    return [[j for j, w in enumerate(verts) if flags[abs(w - v)]] for v in verts]
 
 
-def _reach_sets(adj: list[int], end: int) -> list[int]:
-    """dp[mask] = bitset of v in mask admitting a path v -> end covering mask."""
+def _masks_without(v: int, m: int) -> int:
+    """Bitset over all 2^m masks: bit `mask` is set iff v is not in mask.
+
+    Built from a repeated byte pattern; big-int arithmetic over 2^m bits
+    would cost as much as the search itself.  For m < 3 the pattern also sets
+    bits past 2^m, which no reach set ever holds.
+    """
+    if v < 3:
+        unit = (b"\x55", b"\x33", b"\x0f")[v]
+    else:
+        half = 1 << (v - 3)
+        unit = b"\xff" * half + b"\x00" * half
+    nbytes = max(1, (1 << m) >> 3)
+    return int.from_bytes(unit * (nbytes // len(unit)), "little")
+
+
+def _reach_sets(adj: list[list[int]], end: int) -> list[int]:
+    """S[v] is a 2^m-bit int: bit `mask` is set iff some path v -> end
+    covers exactly the vertex indices in mask.
+
+    Bit-parallel Held-Karp: one relaxation extends every path of every mask
+    at once, S[v] = (OR of S[u] over neighbors u, restricted to masks
+    without v) << 2^v, repeated until nothing changes (at most m rounds).
+    """
     m = len(adj)
-    dp = [0] * (1 << m)
-    endbit = 1 << end
-    dp[endbit] = endbit
-    for mask in range(1 << m):
-        if not mask & endbit or mask == endbit:
-            continue
-        acc = 0
-        bits = mask & ~endbit
-        while bits:
-            vbit = bits & -bits
-            bits ^= vbit
-            v = vbit.bit_length() - 1
-            if dp[mask ^ vbit] & adj[v]:
-                acc |= vbit
-        dp[mask] = acc
-    return dp
+    without = [_masks_without(v, m) for v in range(m)]
+    reach = [0] * m
+    reach[end] = 1 << (1 << end)
+    changed = True
+    while changed:
+        changed = False
+        for v in range(m):
+            if v == end:
+                continue
+            acc = 0
+            for u in adj[v]:
+                acc |= reach[u]
+            new = (acc & without[v]) << (1 << v)
+            if new != reach[v]:
+                reach[v] = new
+                changed = True
+    return reach
 
 
 def brute_hamilton_path(
@@ -80,11 +96,13 @@ def brute_hamilton_path(
     max_order: int | None = None,
     prefer: str = "min",
 ) -> PathWitness | None:
-    """Bitmask-DP search for a Hamilton path between fixed endpoints.
+    """Subset-DP search for a Hamilton path between fixed endpoints.
 
     Returns a witness or None.  The witness walk is deterministic: from the
     start vertex it always takes the smallest viable successor ("min"), or the
     largest with prefer="max"; existence does not depend on that choice.
+    A successor u is viable iff bit `rest` of the reach set S[u] is set,
+    where `rest` holds the vertices not visited yet.
     """
     cap = _general_cap(max_order)
     _guard(interval.order, cap)
@@ -97,20 +115,21 @@ def brute_hamilton_path(
     m = len(verts)
     ai, bi = a - interval.lo, b - interval.lo
     adj = _adjacency(verts)
-    dp = _reach_sets(adj, bi)
+    reach = _reach_sets(adj, bi)
     full = (1 << m) - 1
-    if not (dp[full] >> ai) & 1:
+    # Bit `full` is the highest a reach set can hold.
+    if reach[ai].bit_length() != full + 1:
         return None
+    view = [r.to_bytes(full // 8 + 1, "little") for r in reach]
+    if prefer == "max":
+        adj = [nbrs[::-1] for nbrs in adj]
     seq = [a]
     mask, cur = full, ai
     for _ in range(m - 1):
         mask ^= 1 << cur
-        cand = adj[cur] & dp[mask]
-        assert cand, "reachability DP must admit a successor"
-        if prefer == "min":
-            nxt = (cand & -cand).bit_length() - 1
-        else:
-            nxt = cand.bit_length() - 1
+        byte, bit = mask >> 3, mask & 7
+        nxt = next((u for u in adj[cur] if view[u][byte] >> bit & 1), None)
+        assert nxt is not None, "reachability DP must admit a successor"
         seq.append(verts[nxt])
         cur = nxt
     assert cur == bi
@@ -118,18 +137,23 @@ def brute_hamilton_path(
 
 
 def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple[int, int]]:
-    """All endpoint pairs (a < b) of [1, n] with no Hamilton path between them."""
+    """All endpoint pairs (a < b) of [1, n] with no Hamilton path between them.
+
+    The complement v -> n+1-v is an automorphism, and every pair (a, b) is
+    equivalent to (n+1-b, n+1-a), one of which has an end <= n/2; so only
+    those ends are searched.
+    """
     cap = _general_cap(max_order)
     _guard(n, cap)
     verts = list(range(1, n + 1))
     adj = _adjacency(verts)
     full = (1 << n) - 1
     out = set()
-    for a in range(1, n):
-        reach = _reach_sets(adj, a - 1)[full]
-        for b in range(a + 1, n + 1):
-            if not (reach >> (b - 1)) & 1:
-                out.add((a, b))
+    for e in range(1, n // 2 + 1):
+        for i, r in enumerate(_reach_sets(adj, e - 1)):
+            if i != e - 1 and r.bit_length() != full + 1:
+                a, b = sorted((e, i + 1))
+                out.update({(a, b), (n + 1 - b, n + 1 - a)})
     return out
 
 

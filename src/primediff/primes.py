@@ -8,7 +8,7 @@ that wants an explicit, bounded table.
 from __future__ import annotations
 
 import threading
-from math import isqrt
+from math import isqrt, prod
 
 
 def _sieve_flags(limit: int) -> bytearray:
@@ -109,6 +109,10 @@ def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] |
     first term and the difference are capped by `search_limit`; term values may
     reach first + (k-1)*difference, and the sieve grows to cover them.  Returns
     None when the search box is exhausted.
+
+    Wheel: every prime l <= k below the first term divides the difference,
+    since otherwise some term would be a multiple of l larger than l; so the
+    difference steps by the product of those primes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -118,10 +122,12 @@ def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] |
         return (2,)
     _ensure(search_limit * k)
     flags = _flags
+    small = [p for p in range(2, k + 1) if flags[p]]
     for first in range(2, search_limit + 1):
         if not flags[first]:
             continue
-        for d in range(1, search_limit + 1):
+        step = prod(p for p in small if p < first)
+        for d in range(step, search_limit + 1, step):
             if all(flags[first + j * d] for j in range(1, k)):
                 return tuple(first + j * d for j in range(k))
     return None

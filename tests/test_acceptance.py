@@ -109,6 +109,17 @@ def test_criterion_2_universal_path_feasibility():
     assert elapsed < 60.0, f"took {elapsed:.2f}s, bound is 60s"
 
 
+def test_criterion_2_oracle_finds_no_infeasible_pair():
+    # The same claim as criterion 2, checked by exhaustive search instead of
+    # by construction: from order 9 on, every endpoint pair has a path.
+    t0 = time.perf_counter()
+    found = {n: sorted(brute_infeasible_pairs(n)) for n in range(9, 21)}
+    bad = {n: pairs for n, pairs in found.items() if pairs}
+    _report(2, not bad, f"oracle: no infeasible pair at orders 9-20, {len(bad)} orders with one",
+            time.perf_counter() - t0)
+    assert not bad, bad
+
+
 def test_criterion_3_golden_rows():
     bad = []
     for (n, m), seq in {**BASE_SEEDS, **INIT_1M}.items():

@@ -113,6 +113,21 @@ def test_ap_command(capsys):
     assert json.loads(out) == {"ok": True, "progression": [3, 5, 7]}
     code, _, err = invoke(capsys, "ap", "6", "--limit", "20")
     assert code == 1 and json.loads(err)["error"] == "not_found"
+    code, out, err = invoke(capsys, "ap", "12")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "not_found"
+
+
+def test_memory_error_is_resource_limit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("primediff.cli.brute_hamilton_path", exhausted)
+    code, out, err = invoke(capsys, "oracle-path", "30", "1", "2", "--max-order", "40")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "resource_limit",
+        "detail": {"message": "oracle-path: out of memory"},
+    }
 
 
 def test_oracle_path_command(capsys):

@@ -1,5 +1,7 @@
 """Brute-force searches: ground truth values, determinism, caps."""
 
+import hashlib
+
 import pytest
 
 from primediff.errors import OrderCapExceeded
@@ -105,3 +107,26 @@ def test_diff_restricted_cycle():
     # restriction is an intersection with primality: 4 never qualifies
     assert brute_diff_restricted_cycle(8, {4}) is None
     assert brute_diff_restricted_cycle(2, {2, 3}) is None
+
+
+def _pinned_lines():
+    for iv in [Interval(1, n) for n in range(1, 13)] + [Interval(4, 15)]:
+        vs = list(iv.vertices())
+        for a in vs:
+            for b in vs:
+                if a == b:
+                    continue
+                for prefer in ("min", "max"):
+                    w = brute_hamilton_path(iv, (a, b), prefer=prefer)
+                    seq = None if w is None else w.sequence
+                    yield f"{iv.lo} {iv.hi} {a} {b} {prefer}: {seq}"
+    for n in range(1, 15):
+        yield f"{n}: {sorted(brute_infeasible_pairs(n))}"
+
+
+def test_witnesses_are_pinned():
+    # Every oracle witness (both walk preferences) at orders 1-12 and on a
+    # shifted interval, plus the infeasible-pair sets at orders 1-14: the
+    # search may get faster, but its answers must stay byte-identical.
+    digest = hashlib.sha256("\n".join(_pinned_lines()).encode()).hexdigest()
+    assert digest == "d031c7c6341f7a583c1aca7ca51bf4c316e044509767d505763b3afcb85a7f45"

@@ -94,6 +94,28 @@ def test_progression_goldens():
     assert prime_arithmetic_progression(6, 10_000) == (7, 37, 67, 97, 127, 157)
 
 
+def test_progression_goldens_long():
+    assert prime_arithmetic_progression(12, 200_000) == tuple(4943 + 60060 * j for j in range(12))
+    assert prime_arithmetic_progression(11, 5_000) is None
+
+
+def naive_progression(k: int, limit: int):
+    """The unwheeled scan: every prime first term, every difference."""
+    for first in range(2, limit + 1):
+        if not trial_division(first):
+            continue
+        for d in range(1, limit + 1):
+            if all(is_prime(first + j * d) for j in range(1, k)):
+                return tuple(first + j * d for j in range(k))
+    return None
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_progression_wheel_matches_naive_scan(k):
+    for limit in (30, 300, 3000):
+        assert prime_arithmetic_progression(k, limit) == naive_progression(k, limit)
+
+
 def test_progression_exhaustion_and_validation():
     assert prime_arithmetic_progression(6, 20) is None
     assert prime_arithmetic_progression(2, 1) is None
