@@ -170,7 +170,7 @@ def _dispatch(args) -> int:
         ap = prime_arithmetic_progression(args.k, args.limit)
         if ap is None:
             raise NotFound(
-                f"no {args.k}-term prime progression with terms bounded by {args.limit}"
+                f"no {args.k}-term prime progression with first term and difference at most {args.limit}"
             )
         if args.json:
             print(_dumps({"ok": True, "progression": list(ap)}))

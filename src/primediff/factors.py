@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import Infeasible
 from .graphs import Interval, TwoFactorWitness, certify
-from .paths import hamilton_cycle, path_1_to_m
+from .paths import _path_1m
 from .transforms import shift_seq
 
 # ---------------------------------------------------------------------------
@@ -56,26 +56,21 @@ def _c3_with(big: int) -> tuple[tuple[int, ...], ...]:
     # big >= 9: triangle on {1, 3, 6}, the long cycle threads the rest via a
     # 7 -> 8 Hamilton path of [7, 3 + big] closed through 5 and wrapped back
     # to 2 and 4 (differences 2, 3, and 8 - 5 = 3).
-    inner = shift_seq(path_1_to_m(big - 3, 2).sequence, 6)
-    return ((1, 3, 6), (5, 2, 4) + inner)
+    return ((1, 3, 6), (5, 2, 4) + _path_1m(big - 3, 2, 6))
 
 
 def _c4_with(big: int) -> tuple[tuple[int, ...], ...]:
     """{4, big} on [1, 4 + big]."""
     if big in _C4_WITH:
         return _C4_WITH[big]
-    n = 4 + big
-    inner = shift_seq(path_1_to_m(n - 7, 2).sequence, 7)
-    return ((2, 5, 7, 4), (6, 1, 3) + inner)
+    return ((2, 5, 7, 4), (6, 1, 3) + _path_1m(big - 3, 2, 7))
 
 
 def _two_c3_with(big: int) -> tuple[tuple[int, ...], ...]:
     """{3, 3, big} on [1, 6 + big]."""
     if big == 5:
         return _TWO_C3_C5
-    n = 6 + big
-    inner = shift_seq(path_1_to_m(n - 7, 3).sequence, 7)
-    return ((1, 3, 6), (2, 4, 7), (5,) + inner)
+    return ((1, 3, 6), (2, 4, 7), (5,) + _path_1m(big - 1, 3, 7))
 
 
 def _schedule_threes(m: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -155,8 +150,9 @@ def _realize(n: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     while threes or fours or big:
         if threes == 0:
             if fours == 0:
-                # Long parts only (all >= 5): each spans its own subinterval.
-                place((tuple(hamilton_cycle(big.pop(0)).sequence),))
+                # Long parts only (all >= 5): each spans its own subinterval,
+                # a 1 -> 4 Hamilton path closed by the difference 3.
+                place((_path_1m(big.pop(0), 4),))
                 continue
             if fours >= 2:
                 if fours == 3 and not big:
@@ -213,7 +209,7 @@ def _realize(n: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
                 fours = 0
             else:
                 place(_THREE_C3)
-                place((tuple(hamilton_cycle(big.pop(0)).sequence),))
+                place((_path_1m(big.pop(0), 4),))
             threes = 0
             continue
         if fours:
@@ -236,7 +232,7 @@ def two_factor(n: int, lengths: Iterable[int]) -> TwoFactorWitness:
     if n < 5:
         raise Infeasible(f"no 2-factor at order {n}", n=n)
     if len(parts) == 1:
-        cycles = [tuple(hamilton_cycle(n).sequence)]
+        cycles = [_path_1m(n, 4)]  # a 1 -> 4 path closes with difference 3
     elif n <= 6:
         raise Infeasible(
             f"order {n} admits only the single full cycle", n=n, lengths=parts

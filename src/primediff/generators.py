@@ -116,7 +116,7 @@ def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointF
     ap = prime_arithmetic_progression(2 * t, search_limit)
     if ap is None:
         raise NotFound(
-            f"no {2 * t}-term prime arithmetic progression within {search_limit}"
+            f"no {2 * t}-term prime progression with first term and difference at most {search_limit}"
         )
     n = ap[0] + ap[-1]
     cycles: list[CycleWitness] = []

@@ -205,16 +205,30 @@ def verify_two_factor(w: TwoFactorWitness, expected_lengths=None) -> Verdict:
 
 
 def verify_edge_disjoint(cycles) -> Verdict:
-    """No edge used by two of the given cycles (all over one interval)."""
+    """No edge used by two of the given cycles (all over one interval).
+
+    Edge {u <= v} is the one int u*w + v, w above the spread of all vertices:
+    O(total edges) time, one int per edge, distinct keys for any vertices."""
     cycles = list(cycles)
     if len({(c.interval.lo, c.interval.hi) for c in cycles}) > 1:
         raise ValueError("cycles must share one interval")
-    owner: dict[frozenset, int] = {}
+    seqs = [c.sequence for c in cycles if c.sequence]
+    if len(seqs) < 2:
+        return OK
+    w = max(map(max, seqs)) - min(map(min, seqs)) + 1
+    seen: set[int] = set()
     for idx, c in enumerate(cycles):
-        for e in cycle_edges(c.sequence):
-            if e in owner:
-                return _fail(SHARED_EDGE, edge=tuple(sorted(e)), cycles=(owner[e], idx))
-            owner[e] = idx
+        seq = c.sequence
+        keys = {u * w + v if u <= v else v * w + u for u, v in zip(seq, seq[1:] + seq[:1])}
+        if seen.isdisjoint(keys):
+            seen |= keys
+            continue
+        # Name the first shared edge in cycle_edges order, and its owner.
+        for e in cycle_edges(seq):
+            edge = tuple(sorted(e))
+            if edge[0] * w + edge[-1] in seen:
+                owner = next(j for j in range(idx) if e in cycle_edges(cycles[j].sequence))
+                return _fail(SHARED_EDGE, edge=edge, cycles=(owner, idx))
     return OK
 
 

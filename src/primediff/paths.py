@@ -6,11 +6,14 @@ arbitrary endpoint pairs reduce to paths that start at 1.  Orders 5 through 8
 carry a handful of genuinely infeasible endpoint pairs, listed exactly; from
 order 9 on every pair is realizable.  Each public constructor re-verifies its
 witness before returning it.
+
+Builders emit each piece in place: `_path_1m(n, m, k)` is the path on
+[k+1, k+n], made of ranges offset by k, so each vertex int is created once
+(twice only where `complement_seq` mirrors a piece).  Nothing is memoized: a
+call takes O(n) time and memory, all freed with its result.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import Infeasible, NonEdge
 from .graphs import CycleWitness, Interval, PathWitness, certify
@@ -125,56 +128,46 @@ BRIDGE_PATCH: dict[tuple[int, int, int], tuple[int, ...]] = {
 # the public surface, where the result is certified.
 
 
-@lru_cache(maxsize=None)
-def _seed_1m(n: int, m: int) -> tuple[int, ...]:
-    """Hamilton path of [1, n] from 1 to m for m in [2, 6]."""
+def _seed_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
+    """Hamilton path of [k+1, k+n] from k+1 to k+m for m in [2, 6]."""
     if (n, m) in BASE_SEEDS:
-        return BASE_SEEDS[n, m]
+        return shift_seq(BASE_SEEDS[n, m], k)
     if m == 2 and n >= 8:
         # Wrapping 1 ... 2 around the order-(n-2) path, unrolled: odd ramp,
         # shifted seed, even ramp back down.
         seed = BASE_SEEDS[6 if n % 2 == 0 else 7, 2]
-        k = (n - len(seed)) // 2
-        return (
-            tuple(range(1, 2 * k, 2))
-            + shift_seq(seed, 2 * k)
-            + tuple(range(2 * k, 1, -2))
-        )
+        r = k + n - len(seed)
+        return (*range(k + 1, r, 2), *shift_seq(seed, r), *range(r, k + 1, -2))
     if m == 3 and n >= 10:
-        return (1, 4, 2) + shift_seq(_seed_1m(n - 4, 2), 4) + (3,)
+        return (k + 1, k + 4, k + 2) + _seed_1m(n - 4, 2, k + 4) + (k + 3,)
     if m == 4 and n >= 9:
-        return (1, 3) + shift_seq(_seed_1m(n - 4, 3), 4) + (2, 4)
+        return (k + 1, k + 3) + _seed_1m(n - 4, 3, k + 4) + (k + 2, k + 4)
     if m == 5 and n >= 11:
-        return (1, 3) + shift_seq(_seed_1m(n - 5, 4), 5) + (4, 2, 5)
+        return (k + 1, k + 3) + _seed_1m(n - 5, 4, k + 5) + (k + 4, k + 2, k + 5)
     if m == 6 and n >= 11:
-        return (1, 3, 5, 2, 4) + reverse_seq(shift_seq(_seed_1m(n - 5, 2), 5))
+        return (k + 1, k + 3, k + 5, k + 2, k + 4) + reverse_seq(_seed_1m(n - 5, 2, k + 5))
     raise ValueError(f"no base path for (n={n}, m={m})")
 
 
-@lru_cache(maxsize=None)
-def _path_1m(n: int, m: int) -> tuple[int, ...]:
-    """Hamilton path of [1, n] from 1 to m, any 2 <= m <= n (n >= 5)."""
+def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
+    """Hamilton path of [k+1, k+n] from k+1 to k+m, any 2 <= m <= n (n >= 5)."""
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
     if n < 5:
         raise ValueError(f"order {n} below the supported range")
-    if n == 5:
-        if m in (3, 4):
-            return BASE_SEEDS[5, m]
+    if n == 5 and m not in (3, 4):
         raise Infeasible(f"no Hamilton path from 1 to {m} at order 5", n=5, endpoints=(1, m))
     if m <= 6:
-        return _seed_1m(n, m)
+        return _seed_1m(n, m, k)
     if n <= 10:
-        return INIT_1M[n, m]
-    # Chain five-vertex steps 1 -> 6 -> 11 -> ... and finish with one residual
-    # segment; q is chosen so the residual is either a base far endpoint
-    # (m - 5q <= 6) or one of the tabulated order-7..10 rows.
+        return shift_seq(INIT_1M[n, m], k)
+    # Chain q five-vertex steps, step j visiting 5j + (1, 3, 5, 2, 4); the rest
+    # is a base far endpoint (m - 5q <= 6) or one of the order-7..10 rows.
     q = min((n - 6) // 5, (m - 2) // 5)
-    link = _seed_1m(6, 6)
-    seq: list[int] = list(link)
-    for j in range(1, q):
-        seq.extend(shift_seq(link, 5 * j)[1:])
-    seq.extend(shift_seq(_path_1m(n - 5 * q, m - 5 * q), 5 * q)[1:])
+    seq = [0] * (5 * q)
+    for i, v in enumerate(BASE_SEEDS[6, 6][:5]):
+        seq[i::5] = range(k + v, k + v + 5 * q, 5)
+    seq += _path_1m(n - 5 * q, m - 5 * q, k + 5 * q)
     return tuple(seq)
 
 
@@ -200,41 +193,41 @@ def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
         # Cover [1, a] ending next to a+1, then the rest.
         left = complement_seq(_path_1m(a, 2), 1, a)  # a -> a-1
         if b == a + 1:
-            right = reverse_seq(shift_seq(_path_1m(n - a, 2), a))  # a+2 -> a+1
+            right = reverse_seq(_path_1m(n - a, 2, a))  # a+2 -> a+1
         else:
-            right = shift_seq(_path_1m(n - a, b - a), a)  # a+1 -> b
+            right = _path_1m(n - a, b - a, a)  # a+1 -> b
         return left + right
     if b >= 7:
         # Split at vertex 6: cover [1, 6] from a to 6, then [6, n] from 6 to b.
         r = n - 5
         if r >= 6 or (r == 5 and b - 5 in (3, 4)):
             left = reverse_seq(complement_seq(_path_1m(6, 7 - a), 1, 6))  # a -> 6
-            right = shift_seq(_path_1m(r, b - 5), 5)  # 6 -> b
+            right = _path_1m(r, b - 5, 5)  # 6 -> b
             return left + right[1:]
         return BRIDGE_PATCH[n, a, b]
     # 2 <= a < b <= 6: fixed prefixes around one long interior segment.
     if n == 9 and (a, b) in SPECIAL_ORDER9:
         return SPECIAL_ORDER9[a, b]
     if (a, b) == (2, 3):
-        return (2,) + shift_seq(_path_1m(n - 3, 3), 3) + (1, 3)
+        return (2,) + _path_1m(n - 3, 3, 3) + (1, 3)
     if (a, b) == (2, 4):
-        return (2,) + shift_seq(_path_1m(n - 4, 4), 4) + (3, 1, 4)
+        return (2,) + _path_1m(n - 4, 4, 4) + (3, 1, 4)
     if (a, b) == (2, 5):
-        return (2, 4, 1, 3) + reverse_seq(shift_seq(_path_1m(n - 4, 4), 4))
+        return (2, 4, 1, 3) + reverse_seq(_path_1m(n - 4, 4, 4))
     if (a, b) == (2, 6):
-        return (2, 4, 1, 3, 5) + reverse_seq(shift_seq(_path_1m(n - 5, 3), 5))
+        return (2, 4, 1, 3, 5) + reverse_seq(_path_1m(n - 5, 3, 5))
     if (a, b) == (3, 4):
-        return (3, 1) + reverse_seq(shift_seq(_path_1m(n - 4, 4), 4)) + (2, 4)
+        return (3, 1) + reverse_seq(_path_1m(n - 4, 4, 4)) + (2, 4)
     if (a, b) == (3, 5):
-        return (3, 1, 4, 2) + reverse_seq(shift_seq(_path_1m(n - 4, 3), 4))
+        return (3, 1, 4, 2) + reverse_seq(_path_1m(n - 4, 3, 4))
     if (a, b) == (3, 6):
-        return (3, 1, 4, 2) + shift_seq(_path_1m(n - 4, 2), 4)
+        return (3, 1, 4, 2) + _path_1m(n - 4, 2, 4)
     if (a, b) == (4, 5):
-        return (4, 1, 3) + shift_seq(_path_1m(n - 5, 4), 5) + (2, 5)
+        return (4, 1, 3) + _path_1m(n - 5, 4, 5) + (2, 5)
     if (a, b) == (4, 6):
-        return (4, 1, 3, 5, 2) + reverse_seq(shift_seq(_path_1m(n - 5, 4), 5))
+        return (4, 1, 3, 5, 2) + reverse_seq(_path_1m(n - 5, 4, 5))
     if (a, b) == (5, 6):
-        return (5, 2, 4, 1, 3) + reverse_seq(shift_seq(_path_1m(n - 5, 3), 5))
+        return (5, 2, 4, 1, 3) + reverse_seq(_path_1m(n - 5, 3, 5))
     raise AssertionError(f"unhandled endpoint pair ({a}, {b}) at order {n}")
 
 

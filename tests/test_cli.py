@@ -112,7 +112,10 @@ def test_ap_command(capsys):
     code, out, _ = invoke(capsys, "ap", "3", "--json")
     assert json.loads(out) == {"ok": True, "progression": [3, 5, 7]}
     code, _, err = invoke(capsys, "ap", "6", "--limit", "20")
-    assert code == 1 and json.loads(err)["error"] == "not_found"
+    assert code == 1 and json.loads(err) == {
+        "error": "not_found",
+        "detail": {"message": "no 6-term prime progression with first term and difference at most 20"},
+    }
     code, out, err = invoke(capsys, "ap", "12")
     assert code == 1 and out == "" and json.loads(err)["error"] == "not_found"
 

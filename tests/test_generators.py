@@ -122,7 +122,7 @@ def test_n_for_t_disjoint_goldens():
 
 
 def test_n_for_t_disjoint_failure_modes():
-    with pytest.raises(NotFound):
+    with pytest.raises(NotFound, match="^no 6-term prime progression with first term and difference at most 20$"):
         n_for_t_disjoint(3, search_limit=20)
     with pytest.raises(ValueError):
         n_for_t_disjoint(0)

@@ -1,5 +1,10 @@
 """Hamilton path constructors against stored rows, the oracle, and sweeps."""
 
+import gc
+import hashlib
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from primediff.errors import Infeasible, NonEdge
 from primediff.graphs import Interval, PathWitness, verify_cycle, verify_path
 from primediff.oracle import brute_infeasible_pairs
+from primediff.primes import prime_flags
 from primediff.paths import (
     BRIDGE_PATCH,
     EXCEPTION_PAIRS,
@@ -14,6 +20,7 @@ from primediff.paths import (
     BASE_SEEDS,
     SMALL_ORDER_ROWS,
     SPECIAL_ORDER9,
+    _ham_seq,
     base_path_1_to_m,
     hamilton_cycle,
     hamilton_cycle_through_edge,
@@ -159,3 +166,71 @@ def test_cycle_through_every_edge_property(n, data):
     b = data.draw(st.sampled_from(choices))
     w = hamilton_cycle_through_edge(n, (a, b))
     assert verify_cycle(w, required_edge=(a, b))
+
+
+# Endpoint pairs at n = 100 003 that reach every branch of _ham_seq: a = 1,
+# the mirror, a >= 6 with b = a + 1 and otherwise, the split at vertex 6, and
+# each fixed-prefix pair 2 <= a < b <= 6.
+LARGE_N = 100_003
+LARGE_PAIRS = (
+    [(1, b) for b in (2, 3, 4, 5, 6, 7, 8, 11, 12, 50_000, 99_998, LARGE_N)]
+    + [(a, b) for a in range(2, 6) for b in range(a + 1, 7)]
+    + [(2, 7), (3, 99_999), (4, 8), (5, 60_000)]
+    + [(6, 7), (6, 8), (500, 501), (50_000, 70_001), (7, 40_000)]
+    + [(99_990, LARGE_N), (99_000, 99_001), (LARGE_N - 1, LARGE_N), (3, LARGE_N)]
+    + [(LARGE_N, 1), (40_000, 7)]  # a > b: the reversed orientation
+)
+
+
+def _outcome(build) -> bytes:
+    try:
+        return array("q", build()).tobytes()
+    except (Infeasible, ValueError) as e:
+        return f"{type(e).__name__}: {e} {getattr(e, 'detail', None)}".encode()
+
+
+def _construction_outcomes():
+    for n in range(5, 121):
+        for a in range(1, n):
+            for b in range(a + 1, n + 1):
+                yield b"ham %d %d %d" % (n, a, b), _outcome(lambda: _ham_seq(n, a, b))
+        for m in range(2, n + 1):
+            yield b"1m %d %d" % (n, m), _outcome(lambda: path_1_to_m(n, m).sequence)
+        for m in range(2, 7):
+            yield b"base %d %d" % (n, m), _outcome(lambda: base_path_1_to_m(n, m).sequence)
+    for n in range(1, 121):
+        yield b"cycle %d" % n, _outcome(lambda: hamilton_cycle(n).sequence)
+    for a, b in LARGE_PAIRS:
+        yield b"large %d %d" % (a, b), _outcome(lambda: hamilton_path(LARGE_N, a, b).sequence)
+
+
+def test_constructions_are_pinned():
+    # Every _ham_seq pair, every path_1_to_m and base path, and every
+    # Hamilton cycle at orders 5-120 (Infeasible and ValueError messages
+    # included), plus paths at n = 100 003 through each _ham_seq branch:
+    # the builders may change, their sequences may not.
+    h = hashlib.sha256()
+    for key, outcome in _construction_outcomes():
+        h.update(b"%s: %d %s\n" % (key, len(outcome), outcome))
+    assert h.hexdigest() == "85b8ed568b4f1fca3bdbd1e5f9f54ff0d3cdb738b4168e76958b583d3250a8e7"
+
+
+def test_construction_keeps_nothing_between_calls():
+    # A construction's memory is freed with its result: no memo grows with
+    # the number of calls made in a process.
+    n, a, b = 200_000, 17, 150_001
+    prime_flags(n)  # the shared sieve may grow; that is not the constructor's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = hamilton_path(n, a, b)
+        digest = hashlib.sha256(array("q", w.sequence)).hexdigest()
+        del w
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
+    again = hamilton_path(n, a, b)
+    assert hashlib.sha256(array("q", again.sequence)).hexdigest() == digest

@@ -126,8 +126,41 @@ def test_edge_disjoint():
     assert v.detail["cycles"] == (0, 1)
     reversed_a = CycleWitness(Interval(1, 5), a.sequence[::-1])
     assert verify_edge_disjoint([a, reversed_a]).reason == SHARED_EDGE
+    other = CycleWitness(Interval(1, 6), (1, 3, 6, 4, 2, 5))
     with pytest.raises(ValueError):
-        verify_edge_disjoint([a, CycleWitness(Interval(1, 6), (1, 3, 6, 4, 2, 5))])
+        verify_edge_disjoint([a, other])
+    # the interval check comes before any shared edge
+    with pytest.raises(ValueError):
+        verify_edge_disjoint([a, a, other])
+
+
+SHARED_EDGE_CASES = [
+    ("no cycles", [], (True, None, None)),
+    ("one cycle", [(1, 3, 5, 2, 4)], (True, None, None)),
+    ("collision between cycles 2 and 0", [(1, 3, 5), (2, 4, 6), (7, 1, 3, 5)],
+     (False, SHARED_EDGE, {"edge": (1, 3), "cycles": (0, 2)})),
+    # the edge named follows the set order of cycle_edges, not the sequence
+    ("cycle 2 meets cycles 0 and 1", [(1, 3, 5), (2, 4, 6), (1, 3, 2, 4)],
+     (False, SHARED_EDGE, {"edge": (2, 4), "cycles": (1, 2)})),
+    ("repeated cycle", [(1, 3, 5, 2, 4), (1, 3, 5, 2, 4)],
+     (False, SHARED_EDGE, {"edge": (1, 4), "cycles": (0, 1)})),
+    ("reversed copy", [(1, 3, 5, 2, 4), (4, 2, 5, 3, 1)],
+     (False, SHARED_EDGE, {"edge": (1, 4), "cycles": (0, 1)})),
+    ("rotated copy after a disjoint cycle", [(1, 3, 5, 2, 4), (1, 2, 3, 4, 5), (5, 2, 4, 1, 3)],
+     (False, SHARED_EDGE, {"edge": (1, 4), "cycles": (0, 2)})),
+    ("two-vertex cycles", [(1, 3), (3, 1)], (False, SHARED_EDGE, {"edge": (1, 3), "cycles": (0, 1)})),
+    ("vertices outside the interval", [(1, 10, 3), (2, 2, 4), (0, -1, 5)], (True, None, None)),
+]
+
+
+@pytest.mark.parametrize(
+    "seqs, expected", [pytest.param(seqs, exp, id=name) for name, seqs, exp in SHARED_EDGE_CASES]
+)
+def test_shared_edge_detail_is_pinned(seqs, expected):
+    # Which edge and which pair of cycles a SharedEdge verdict names, on
+    # the interval [1, 7]; the cycles need not be valid Hamilton cycles.
+    v = verify_edge_disjoint([CycleWitness(Interval(1, 7), s) for s in seqs])
+    assert (v.ok, v.reason, v.detail) == expected
 
 
 def test_cycle_edges():
