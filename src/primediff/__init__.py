@@ -56,12 +56,10 @@ from .paths import (
     path_1_to_m,
 )
 from .primes import (
-    PrimeTable,
     is_prime,
     prime_arithmetic_progression,
     prime_flags,
     prime_pair_decompositions,
-    sieve,
 )
 from .transforms import complement, reverse, shift
 
@@ -74,8 +72,6 @@ __all__ = [
     "NotFound",
     "OrderCapExceeded",
     "ConstructionError",
-    "PrimeTable",
-    "sieve",
     "is_prime",
     "prime_flags",
     "prime_pair_decompositions",

@@ -127,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    obj = json.loads(sys.stdin.read())
+    try:
+        obj = json.loads(sys.stdin.read())
+    except RecursionError:
+        raise ValueError("witness JSON is nested too deeply") from None
     w = witness_from_json(obj)
     v = verify(w)
     if args.json:

@@ -137,81 +137,34 @@ def _realize(n: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     cycles: list[tuple[int, ...]] = []
     lo = 1
 
-    def place(block: Iterable[tuple[int, ...]]) -> None:
-        """Shift a block built on [1, size] up to start at lo."""
+    def place(*blocks: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Shift blocks built on [1, size] up to start at lo, in turn;
+        returns every cycle placed so far."""
         nonlocal lo
-        shift = lo - 1
-        size = 0
-        for cyc in block:
-            cycles.append(shift_seq(cyc, shift))
-            size += len(cyc)
-        lo += size
+        for block in blocks:
+            shift = lo - 1
+            for cyc in block:
+                cycles.append(shift_seq(cyc, shift))
+                lo += len(cyc)
+        return cycles
 
-    while threes or fours or big:
-        if threes == 0:
-            if fours == 0:
-                # Long parts only (all >= 5): each spans its own subinterval,
-                # a 1 -> 4 Hamilton path closed by the difference 3.
-                place((_path_1m(big.pop(0), 4),))
-                continue
-            if fours >= 2:
-                if fours == 3 and not big:
-                    place(_THREE_C4)
-                    fours = 0
-                else:
-                    place(_TWO_C4)
-                    fours -= 2
-                continue
-            # Exactly one 4: pair it with a long part (one exists, since a
-            # lone {4} never reaches here: sum >= 7 forces company).
-            place(_c4_with(big.pop(0)))
-            fours = 0
-            continue
-        if threes == 1:
-            if fours == 2 and not big:
-                place(_C3_2C4)
-                fours = 0
-            elif fours >= 1:
-                place(_c3_with(4))
-                fours -= 1
-            else:
-                place(_c3_with(big.pop(0)))
-            threes = 0
-            continue
-        if threes == 2:
-            if fours == 1 and not big:
-                place(_TWO_C3_C4)
-                fours = 0
-                threes = 0
-            elif fours == 0 and len(big) == 1:
-                place(_two_c3_with(big.pop(0)))
-                threes = 0
-            else:
-                # Peel one 3 with the smallest non-3 part; what remains still
-                # has a non-3 companion for the second 3.
-                if fours:
-                    place(_c3_with(4))
-                    fours -= 1
-                else:
-                    place(_c3_with(big.pop(0)))
-                threes = 1
-            continue
-        # threes >= 3
+    # Peel one 3 at a time, paired with a 4 while any is left, else with the
+    # smallest long part, until a terminal block covers all that remains; no
+    # peel strands one or two 3s without a non-3 part to pair with.
+    while threes:
         nonthree = fours + len(big)
+        if threes == 1 and fours == 2 and not big:
+            return place(_C3_2C4)
+        if threes == 2 and fours == 1 and not big:
+            return place(_TWO_C3_C4)
+        if threes == 2 and fours == 0 and len(big) == 1:
+            return place(_two_c3_with(big[0]))
         if nonthree == 0:
-            for block in _schedule_threes(threes):
-                place(block)
-            threes = 0
-            continue
-        if nonthree == 1 and threes == 3:
+            return place(*_schedule_threes(threes))
+        if threes == 3 and nonthree == 1:
             if fours:
-                place(_THREE_C3_C4)
-                fours = 0
-            else:
-                place(_THREE_C3)
-                place((_path_1m(big.pop(0), 4),))
-            threes = 0
-            continue
+                return place(_THREE_C3_C4)
+            return place(_THREE_C3, (_path_1m(big[0], 4),))
         if fours:
             place(_c3_with(4))
             fours -= 1
@@ -219,6 +172,22 @@ def _realize(n: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
             place(_c3_with(big.pop(0)))
         threes -= 1
 
+    while fours or big:
+        if fours == 0:
+            # Long parts only (all >= 5): each spans its own subinterval,
+            # a 1 -> 4 Hamilton path closed by the difference 3.
+            place((_path_1m(big.pop(0), 4),))
+        elif fours == 3 and not big:
+            place(_THREE_C4)
+            fours = 0
+        elif fours >= 2:
+            place(_TWO_C4)
+            fours -= 2
+        else:
+            # Exactly one 4: pair it with a long part (one exists, since a
+            # lone {4} never reaches here: sum >= 7 forces company).
+            place(_c4_with(big.pop(0)))
+            fours = 0
     return cycles
 
 

@@ -17,6 +17,13 @@ from .primes import is_prime, prime_arithmetic_progression, prime_pair_decomposi
 from .transforms import complement_seq
 
 
+def _seq_diff23(n: int) -> tuple[int, ...]:
+    """The unchecked sequence of `path_diff23(n)`, for n >= 6."""
+    if n % 2 == 0:
+        return tuple(range(n, 5, -2)) + (3, 1, 4, 2) + tuple(range(5, n, 2))
+    return tuple(range(n, 4, -2)) + (2, 4, 1, 3) + tuple(range(6, n, 2))
+
+
 def path_diff23(n: int) -> PathWitness:
     """Hamilton path of [1, n] using only differences 2 and 3 (n >= 6).
 
@@ -25,10 +32,7 @@ def path_diff23(n: int) -> PathWitness:
     """
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
-    if n % 2 == 0:
-        seq = tuple(range(n, 5, -2)) + (3, 1, 4, 2) + tuple(range(5, n, 2))
-    else:
-        seq = tuple(range(n, 4, -2)) + (2, 4, 1, 3) + tuple(range(6, n, 2))
+    seq = _seq_diff23(n)
     return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(n, n - 1), allowed_diffs={2, 3})
 
 
@@ -47,10 +51,10 @@ def cycle_diff23(n: int) -> CycleWitness:
     # [h, n] from n down to n-1 complemented to run h -> h+1; the junction
     # differences are |h+1 - h| mates already inside the two sequences, and
     # the seam edges are h+1..(second path start) and (second path end)..h+1.
+    # The halves are checked once, as part of the whole cycle.
     h = n // 2
-    a_part = path_diff23(h + 1).sequence
-    p = path_diff23(n - h + 1).sequence
-    b_part = complement_seq(p, 1, n)  # h -> h+1 on [h, n]
+    a_part = _seq_diff23(h + 1)
+    b_part = complement_seq(_seq_diff23(n - h + 1), 1, n)  # h -> h+1 on [h, n]
     return certify(CycleWitness(Interval(1, n), a_part + b_part[1:-1]), allowed_diffs={2, 3})
 
 

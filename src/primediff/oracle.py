@@ -39,10 +39,12 @@ def _guard(order: int, cap: int) -> None:
         raise OrderCapExceeded(order, cap)
 
 
-def _adjacency(verts: list[int]) -> list[list[int]]:
-    """Ascending neighbor indices by vertex index."""
+def _adjacency(verts: list[int], allowed=None) -> list[list[int]]:
+    """Ascending neighbor indices by vertex index; with `allowed`, only the
+    prime differences in it count."""
     flags = primes.prime_flags(verts[-1] - verts[0] if verts else 0)
-    return [[j for j, w in enumerate(verts) if flags[abs(w - v)]] for v in verts]
+    ok = [f == 1 and (allowed is None or d in allowed) for d, f in enumerate(flags[: len(verts)])]
+    return [[j for j, w in enumerate(verts) if ok[abs(w - v)]] for v in verts]
 
 
 def _masks_without(v: int, m: int) -> int:
@@ -89,6 +91,30 @@ def _reach_sets(adj: list[list[int]], end: int) -> list[int]:
     return reach
 
 
+def _greedy_walk(adj: list[list[int]], reach: list[int], start: int, rest: int) -> list[int] | None:
+    """Greedy walk from index `start` over the indices in `rest`, the end of
+    the reach sets included.
+
+    Each step takes the first neighbor u, in adj order, whose reach set S[u]
+    holds bit `rest`, then drops u from `rest`; so the walk is the least
+    path in adj order.  Returns the indices after `start`, or None when no
+    first step exists (no such path).
+    """
+    nbytes = ((1 << len(adj)) + 7) // 8
+    view = [r.to_bytes(nbytes, "little") for r in reach]
+    out: list[int] = []
+    cur = start
+    while rest:
+        byte, bit = rest >> 3, rest & 7
+        cur = next((u for u in adj[cur] if view[u][byte] >> bit & 1), None)
+        if cur is None:
+            assert not out, "reachability DP must admit a successor"
+            return None
+        out.append(cur)
+        rest ^= 1 << cur
+    return out
+
+
 def brute_hamilton_path(
     interval: Interval,
     endpoints: tuple[int, int],
@@ -112,28 +138,12 @@ def brute_hamilton_path(
         raise ValueError(f"bad endpoints {endpoints} for {interval}")
     if prefer not in ("min", "max"):
         raise ValueError("prefer must be 'min' or 'max'")
-    m = len(verts)
     ai, bi = a - interval.lo, b - interval.lo
     adj = _adjacency(verts)
-    reach = _reach_sets(adj, bi)
-    full = (1 << m) - 1
-    # Bit `full` is the highest a reach set can hold.
-    if reach[ai].bit_length() != full + 1:
-        return None
-    view = [r.to_bytes(full // 8 + 1, "little") for r in reach]
     if prefer == "max":
         adj = [nbrs[::-1] for nbrs in adj]
-    seq = [a]
-    mask, cur = full, ai
-    for _ in range(m - 1):
-        mask ^= 1 << cur
-        byte, bit = mask >> 3, mask & 7
-        nxt = next((u for u in adj[cur] if view[u][byte] >> bit & 1), None)
-        assert nxt is not None, "reachability DP must admit a successor"
-        seq.append(verts[nxt])
-        cur = nxt
-    assert cur == bi
-    return PathWitness(interval, tuple(seq))
+    walk = _greedy_walk(adj, _reach_sets(adj, bi), ai, ((1 << len(verts)) - 1) ^ (1 << ai))
+    return None if walk is None else PathWitness(interval, (a, *(verts[i] for i in walk)))
 
 
 def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple[int, int]]:
@@ -143,6 +153,8 @@ def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple
     equivalent to (n+1-b, n+1-a), one of which has an end <= n/2; so only
     those ends are searched.
     """
+    if n < 0:
+        raise ValueError(f"order must be nonnegative, got {n}")
     cap = _general_cap(max_order)
     _guard(n, cap)
     verts = list(range(1, n + 1))
@@ -218,40 +230,18 @@ def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) ->
 def brute_diff_restricted_cycle(
     n: int, allowed, *, max_order: int | None = None
 ) -> CycleWitness | None:
-    """First Hamilton cycle of [1, n] (by depth-first search in ascending
-    neighbor order) whose differences all lie in `allowed`, or None."""
+    """Lexicographically least Hamilton cycle of [1, n], read from 1, whose
+    differences all lie in `allowed` (non-primes in it never count), or None.
+
+    The same reach-set DP as the path search, with end vertex 1: the walk
+    from 1 covers every vertex and returns to 1, and the return is dropped.
+    The least such walk already has its second vertex below its last, since
+    otherwise its reversal would be smaller.
+    """
     cap = _general_cap(max_order)
     _guard(n, cap)
     if n < 3:
         return None
-    allowed = frozenset(allowed)
-    flags = primes.prime_flags(n)
-    nbrs = {
-        v: [
-            u
-            for u in range(1, n + 1)
-            if u != v and abs(u - v) in allowed and flags[abs(u - v)]
-        ]
-        for v in range(1, n + 1)
-    }
-    path = [1]
-    on_path = {1}
-
-    def extend() -> tuple[int, ...] | None:
-        if len(path) == n:
-            if path[1] < path[-1] and abs(path[-1] - 1) in allowed and flags[abs(path[-1] - 1)]:
-                return tuple(path)
-            return None
-        for v in nbrs[path[-1]]:
-            if v not in on_path:
-                path.append(v)
-                on_path.add(v)
-                found = extend()
-                if found is not None:
-                    return found
-                path.pop()
-                on_path.remove(v)
-        return None
-
-    seq = extend()
-    return None if seq is None else CycleWitness(Interval(1, n), seq)
+    adj = _adjacency(list(range(1, n + 1)), frozenset(allowed))
+    walk = _greedy_walk(adj, _reach_sets(adj, 0), 0, (1 << n) - 1)
+    return None if walk is None else CycleWitness(Interval(1, n), (1, *(i + 1 for i in walk[:-1])))

@@ -1,8 +1,7 @@
 """Primality queries, prime pair decompositions, and prime progressions.
 
 A single module-level sieve backs all queries and grows on demand, so callers
-never size it up front.  `PrimeTable` is the fixed-size value type for code
-that wants an explicit, bounded table.
+never size it up front.
 """
 
 from __future__ import annotations
@@ -20,37 +19,6 @@ def _sieve_flags(limit: int) -> bytearray:
             if flags[p]:
                 flags[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
     return flags
-
-
-class PrimeTable:
-    """Sieve of Eratosthenes over [0, limit], fixed at construction.
-
-    Queries outside the table are refused rather than silently wrong.
-    """
-
-    __slots__ = ("limit", "_flags")
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        self.limit = limit
-        self._flags = _sieve_flags(limit)
-
-    def is_prime(self, k: int) -> bool:
-        if not 0 <= k <= self.limit:
-            raise ValueError(f"{k} outside table range [0, {self.limit}]")
-        return bool(self._flags[k])
-
-    def primes(self) -> list[int]:
-        return [k for k in range(2, self.limit + 1) if self._flags[k]]
-
-    def __contains__(self, k: object) -> bool:
-        return isinstance(k, int) and 0 <= k <= self.limit and bool(self._flags[k])
-
-
-def sieve(limit: int) -> PrimeTable:
-    """Build a fixed prime table covering [2, limit]."""
-    return PrimeTable(limit)
 
 
 _lock = threading.Lock()

@@ -156,6 +156,9 @@ def test_usage_errors(capsys):
     assert json.loads(err)["error"] == "usage"
     code, _, _ = invoke(capsys, "two-factor", "7", "--lengths", "3;4")
     assert code == 2
+    code, _, err = invoke(capsys, "exceptions", "-5", "--oracle")
+    assert code == 2
+    assert json.loads(err)["detail"]["message"] == "order must be nonnegative, got -5"
 
 
 def test_verify_ok(capsys, monkeypatch):
@@ -186,6 +189,13 @@ def test_verify_malformed_input(capsys, monkeypatch):
     feed(monkeypatch, '{"kind":"path","lo":1,"hi":5}')
     code, _, err = invoke(capsys, "verify")
     assert code == 2 and json.loads(err)["error"] == "usage"
+
+
+def test_verify_deeply_nested_json_is_usage(capsys, monkeypatch):
+    feed(monkeypatch, "[" * 100_000)
+    code, out, err = invoke(capsys, "verify")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 @pytest.mark.parametrize(

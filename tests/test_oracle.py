@@ -1,6 +1,8 @@
 """Brute-force searches: ground truth values, determinism, caps."""
 
 import hashlib
+import itertools
+import time
 
 import pytest
 
@@ -82,6 +84,18 @@ def test_env_cap(monkeypatch):
     assert brute_hamilton_path(Interval(1, 23), (1, 23)) is not None
 
 
+def test_infeasible_pairs_negative_order():
+    with pytest.raises(ValueError, match="-5"):
+        brute_infeasible_pairs(-5)
+    assert [sorted(brute_infeasible_pairs(n)) for n in range(5)] == [
+        [],
+        [],
+        [(1, 2)],
+        [(1, 2), (1, 3), (2, 3)],
+        [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)],
+    ]
+
+
 def test_two_factor_exists():
     assert not brute_two_factor_exists(6, (3, 3))
     assert brute_two_factor_exists(7, (3, 4))
@@ -109,6 +123,24 @@ def test_diff_restricted_cycle():
     assert brute_diff_restricted_cycle(2, {2, 3}) is None
 
 
+def test_restricted_cycle_is_bounded_under_the_cap():
+    # An exhaustive search with no Hamilton cycle to find: the reach-set DP
+    # answers in well under a second at order 21.
+    t0 = time.perf_counter()
+    assert brute_diff_restricted_cycle(21, {3, 5, 7, 11, 13}) is None
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"took {elapsed:.2f}s, bound is 10s"
+
+
+def test_restricted_cycle_odd_differences_need_even_order():
+    # Every odd step changes parity, so a cycle alternates parities and has
+    # even length: no Hamilton cycle of odd order uses odd primes alone.
+    for n in range(7, 22, 2):
+        for allowed in ({3}, {3, 5}, {5, 7, 11}, {3, 5, 7, 11, 13}, {3, 5, 7, 11, 13, 17, 19}):
+            assert brute_diff_restricted_cycle(n, allowed) is None, (n, allowed)
+    assert brute_diff_restricted_cycle(20, {3, 5, 7, 11, 13}) is not None
+
+
 def _pinned_lines():
     for iv in [Interval(1, n) for n in range(1, 13)] + [Interval(4, 15)]:
         vs = list(iv.vertices())
@@ -130,3 +162,21 @@ def test_witnesses_are_pinned():
     # search may get faster, but its answers must stay byte-identical.
     digest = hashlib.sha256("\n".join(_pinned_lines()).encode()).hexdigest()
     assert digest == "d031c7c6341f7a583c1aca7ca51bf4c316e044509767d505763b3afcb85a7f45"
+
+
+def _restricted_lines():
+    base = (2, 3, 5, 7, 11, 13)
+    for n in range(17):
+        for r in range(len(base) + 1):
+            for sub in itertools.combinations(base, r):
+                allowed = set(sub) | {4, 9}
+                w = brute_diff_restricted_cycle(n, allowed)
+                yield f"{n} {sorted(allowed)}: {None if w is None else w.sequence}"
+
+
+def test_restricted_cycles_are_pinned():
+    # Every restricted-cycle answer, None included, at orders 0-16 against
+    # every subset of {2, 3, 5, 7, 11, 13} (with the non-primes 4 and 9
+    # added, which must never count): 1,088 cases, byte-identical.
+    digest = hashlib.sha256("\n".join(_restricted_lines()).encode()).hexdigest()
+    assert digest == "5721b473de5b3c8b25c285fc1422a100ef1b40416417111ae5fca4c78c2e58a6"

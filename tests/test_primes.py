@@ -3,12 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primediff.primes import (
-    PrimeTable,
     is_prime,
     prime_arithmetic_progression,
     prime_flags,
     prime_pair_decompositions,
-    sieve,
 )
 
 
@@ -23,25 +21,9 @@ def trial_division(k: int) -> bool:
     return True
 
 
-def test_table_matches_trial_division():
-    t = sieve(500)
-    assert t.primes() == [k for k in range(2, 501) if trial_division(k)]
-
-
-def test_table_refuses_out_of_range():
-    t = PrimeTable(50)
-    with pytest.raises(ValueError):
-        t.is_prime(51)
-    with pytest.raises(ValueError):
-        t.is_prime(-1)
-    # containment is a query, not a contract violation
-    assert 51 not in t
-    assert "x" not in t
-
-
-def test_table_bad_limit():
-    with pytest.raises(ValueError):
-        PrimeTable(0)
+def test_prime_flags_match_trial_division():
+    flags = prime_flags(500)
+    assert [k for k in range(501) if flags[k]] == [k for k in range(501) if trial_division(k)]
 
 
 @given(st.integers(min_value=-10, max_value=5000))
