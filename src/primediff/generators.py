@@ -11,7 +11,7 @@ collide with a pair containing 2 or 3.
 from __future__ import annotations
 
 from .errors import Infeasible, NotFound
-from .graphs import CycleWitness, DisjointFamily, Interval, PathWitness, canonical_cycle, certify
+from .graphs import CycleWitness, DisjointFamily, Interval, PathWitness, certify
 from .paths import hamilton_cycle
 from .primes import is_prime, prime_arithmetic_progression, prime_pair_decompositions
 from .transforms import complement_seq
@@ -73,7 +73,9 @@ def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
         raise ValueError(f"{p} + {q} != {n}")
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"({p}, {q}) is not a prime pair")
-    seq = canonical_cycle(tuple((i * p) % n + 1 for i in range(n)))
+    # Already canonical as built: it starts at 1, and its second vertex p + 1
+    # is below its last, (n - 1)p mod n + 1 = q + 1.
+    seq = tuple((i * p) % n + 1 for i in range(n))
     return certify(CycleWitness(Interval(1, n), seq), allowed_diffs={p, q})
 
 

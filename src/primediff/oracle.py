@@ -15,7 +15,6 @@ from .errors import OrderCapExceeded
 from .graphs import CycleWitness, Interval, PathWitness
 
 DEFAULT_MAX_ORDER = 22
-DEFAULT_MAX_FACTOR_ORDER = 14
 ENV_MAX_ORDER = "ORACLE_MAX_ORDER"
 
 
@@ -24,14 +23,6 @@ def _general_cap(max_order: int | None) -> int:
         return max_order
     env = os.environ.get(ENV_MAX_ORDER)
     return int(env) if env else DEFAULT_MAX_ORDER
-
-
-def _factor_cap(max_order: int | None) -> int:
-    # The cycle-cover search branches harder than the path DP, so its default
-    # cap is lower; an explicit argument always wins.
-    if max_order is not None:
-        return max_order
-    return min(_general_cap(None), DEFAULT_MAX_FACTOR_ORDER)
 
 
 def _guard(order: int, cap: int) -> None:
@@ -173,17 +164,14 @@ def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) ->
     """Backtracking search: can [1, n] be covered by disjoint cycles of the
     given lengths?  Each cycle is anchored at the smallest vertex it contains,
     with a fixed orientation, so no arrangement is tried twice."""
-    cap = _factor_cap(max_order)
+    cap = _general_cap(max_order)
     _guard(n, cap)
     lengths = sorted(lengths)
     if any(L < 3 for L in lengths) or sum(lengths) != n:
         raise ValueError(f"bad length multiset {lengths} for n={n}")
-    flags = primes.prime_flags(n)
-    nbrs = {
-        v: [u for u in range(1, n + 1) if u != v and flags[abs(u - v)]]
-        for v in range(1, n + 1)
-    }
-    unused = set(range(1, n + 1))
+    # Vertex indices 0..n-1 stand for 1..n; the index order is the vertex order.
+    adj = _adjacency(list(range(1, n + 1)))
+    unused = set(range(n))
     remaining = lengths
 
     def cycles_through(s: int, length: int):
@@ -194,10 +182,10 @@ def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) ->
 
         def extend():
             if len(path) == length:
-                if path[1] < path[-1] and flags[abs(path[-1] - s)]:
+                if path[1] < path[-1] and s in adj[path[-1]]:
                     yield tuple(path)
                 return
-            for v in nbrs[path[-1]]:
+            for v in adj[path[-1]]:
                 if v in unused and v not in on_path:
                     path.append(v)
                     on_path.add(v)

@@ -3,9 +3,15 @@
 Everything is built from fixed seed tables plus three interval moves
 (complement, shift, reversal): long paths wrap or chain shorter ones, and
 arbitrary endpoint pairs reduce to paths that start at 1.  Orders 5 through 8
-carry a handful of genuinely infeasible endpoint pairs, listed exactly; from
-order 9 on every pair is realizable.  Each public constructor re-verifies its
-witness before returning it.
+carry a handful of genuinely infeasible endpoint pairs, listed exactly in
+`EXCEPTION_PAIRS`; from order 9 on every pair is realizable.  Each public
+constructor re-verifies its witness before returning it.
+
+Each table is the one statement of its fact.  `_path_1m`, the only builder
+of paths from vertex 1, looks up `BASE_SEEDS` and `INIT_1M` before it
+recurses, so the recursion needs no order thresholds; `_ham_seq` takes a
+`BRIDGE_PATCH` row exactly where that table has its key; and
+`infeasible_pairs` returns `EXCEPTION_PAIRS` as stored, at any order.
 
 Builders emit each piece in place: `_path_1m(n, m, k)` is the path on
 [k+1, k+n], made of ranges offset by k, so each vertex int is created once
@@ -128,27 +134,6 @@ BRIDGE_PATCH: dict[tuple[int, int, int], tuple[int, ...]] = {
 # the public surface, where the result is certified.
 
 
-def _seed_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
-    """Hamilton path of [k+1, k+n] from k+1 to k+m for m in [2, 6]."""
-    if (n, m) in BASE_SEEDS:
-        return shift_seq(BASE_SEEDS[n, m], k)
-    if m == 2 and n >= 8:
-        # Wrapping 1 ... 2 around the order-(n-2) path, unrolled: odd ramp,
-        # shifted seed, even ramp back down.
-        seed = BASE_SEEDS[6 if n % 2 == 0 else 7, 2]
-        r = k + n - len(seed)
-        return (*range(k + 1, r, 2), *shift_seq(seed, r), *range(r, k + 1, -2))
-    if m == 3 and n >= 10:
-        return (k + 1, k + 4, k + 2) + _seed_1m(n - 4, 2, k + 4) + (k + 3,)
-    if m == 4 and n >= 9:
-        return (k + 1, k + 3) + _seed_1m(n - 4, 3, k + 4) + (k + 2, k + 4)
-    if m == 5 and n >= 11:
-        return (k + 1, k + 3) + _seed_1m(n - 5, 4, k + 5) + (k + 4, k + 2, k + 5)
-    if m == 6 and n >= 11:
-        return (k + 1, k + 3, k + 5, k + 2, k + 4) + reverse_seq(_seed_1m(n - 5, 2, k + 5))
-    raise ValueError(f"no base path for (n={n}, m={m})")
-
-
 def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
     """Hamilton path of [k+1, k+n] from k+1 to k+m, any 2 <= m <= n (n >= 5)."""
     if not 2 <= m <= n:
@@ -157,10 +142,24 @@ def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
         raise ValueError(f"order {n} below the supported range")
     if n == 5 and m not in (3, 4):
         raise Infeasible(f"no Hamilton path from 1 to {m} at order 5", n=5, endpoints=(1, m))
-    if m <= 6:
-        return _seed_1m(n, m, k)
-    if n <= 10:
-        return shift_seq(INIT_1M[n, m], k)
+    # The tables hold exactly the orders below each recursion's reach.
+    seed = BASE_SEEDS.get((n, m)) or INIT_1M.get((n, m))
+    if seed is not None:
+        return shift_seq(seed, k)
+    if m == 2:
+        # Wrapping 1 ... 2 around the order-(n-2) path, unrolled: odd ramp,
+        # shifted seed, even ramp back down.
+        seed = BASE_SEEDS[6 if n % 2 == 0 else 7, 2]
+        r = k + n - len(seed)
+        return (*range(k + 1, r, 2), *shift_seq(seed, r), *range(r, k + 1, -2))
+    if m == 3:
+        return (k + 1, k + 4, k + 2) + _path_1m(n - 4, 2, k + 4) + (k + 3,)
+    if m == 4:
+        return (k + 1, k + 3) + _path_1m(n - 4, 3, k + 4) + (k + 2, k + 4)
+    if m == 5:
+        return (k + 1, k + 3) + _path_1m(n - 5, 4, k + 5) + (k + 4, k + 2, k + 5)
+    if m == 6:
+        return (k + 1, k + 3, k + 5, k + 2, k + 4) + reverse_seq(_path_1m(n - 5, 2, k + 5))
     # Chain q five-vertex steps, step j visiting 5j + (1, 3, 5, 2, 4); the rest
     # is a base far endpoint (m - 5q <= 6) or one of the order-7..10 rows.
     q = min((n - 6) // 5, (m - 2) // 5)
@@ -175,7 +174,7 @@ def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
     """Hamilton path sequence of [1, n] from a to b, 1 <= a < b <= n."""
     # The exception sets are closed under the mirror, so checking the
     # caller's own pair first keeps it in the Infeasible report.
-    if n <= 8 and (a, b) in EXCEPTION_PAIRS[n]:
+    if (a, b) in EXCEPTION_PAIRS.get(n, ()):
         raise Infeasible(
             f"no Hamilton path between {a} and {b} at order {n}",
             n=n,
@@ -198,13 +197,12 @@ def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
             right = _path_1m(n - a, b - a, a)  # a+1 -> b
         return left + right
     if b >= 7:
+        if (n, a, b) in BRIDGE_PATCH:
+            return BRIDGE_PATCH[n, a, b]
         # Split at vertex 6: cover [1, 6] from a to 6, then [6, n] from 6 to b.
-        r = n - 5
-        if r >= 6 or (r == 5 and b - 5 in (3, 4)):
-            left = reverse_seq(complement_seq(_path_1m(6, 7 - a), 1, 6))  # a -> 6
-            right = _path_1m(r, b - 5, 5)  # 6 -> b
-            return left + right[1:]
-        return BRIDGE_PATCH[n, a, b]
+        left = reverse_seq(complement_seq(_path_1m(6, 7 - a), 1, 6))  # a -> 6
+        right = _path_1m(n - 5, b - 5, 5)  # 6 -> b
+        return left + right[1:]
     # 2 <= a < b <= 6: fixed prefixes around one long interior segment.
     if n == 9 and (a, b) in SPECIAL_ORDER9:
         return SPECIAL_ORDER9[a, b]
@@ -239,7 +237,11 @@ def base_path_1_to_m(n: int, m: int) -> PathWitness:
     """Hamilton path of [1, n] from 1 to m for the base range m in [2, 6]."""
     if not 2 <= m <= 6:
         raise ValueError(f"base construction covers m in [2, 6], got {m}")
-    return certify(PathWitness(Interval(1, n), _seed_1m(n, m)), expected_endpoints=(1, m))
+    try:
+        seq = _path_1m(n, m)
+    except (ValueError, Infeasible):
+        raise ValueError(f"no base path for (n={n}, m={m})") from None
+    return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(1, m))
 
 
 def path_1_to_m(n: int, m: int) -> PathWitness:
@@ -267,17 +269,11 @@ def hamilton_path(n: int, a: int, b: int) -> PathWitness:
 
 
 def infeasible_pairs(n: int) -> frozenset[tuple[int, int]]:
-    """Endpoint pairs (a < b) the constructor reports as having no path."""
+    """Endpoint pairs (a < b) the constructor reports as having no path:
+    the `EXCEPTION_PAIRS` row that `_ham_seq` consults, empty from order 9 on."""
     if n < 5:
         raise ValueError(f"order {n} below the supported range (n >= 5)")
-    out = set()
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            try:
-                _ham_seq(n, a, b)
-            except Infeasible:
-                out.add((a, b))
-    return frozenset(out)
+    return EXCEPTION_PAIRS.get(n, frozenset())
 
 
 def hamilton_cycle(n: int) -> CycleWitness:

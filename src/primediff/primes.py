@@ -76,7 +76,8 @@ def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] |
     "Smallest" means lexicographically by (first term, difference).  Both the
     first term and the difference are capped by `search_limit`; term values may
     reach first + (k-1)*difference, and the sieve grows to cover them.  Returns
-    None when the search box is exhausted.
+    None when the search box is exhausted (limits 0 and 1 give an empty box);
+    a negative limit is a ValueError.
 
     Wheel: every prime l <= k below the first term divides the difference,
     since otherwise some term would be a multiple of l larger than l; so the
@@ -84,6 +85,8 @@ def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] |
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if search_limit < 0:
+        raise ValueError(f"search limit must be nonnegative, got {search_limit}")
     if search_limit < 2:
         return None
     if k == 1:

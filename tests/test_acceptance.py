@@ -185,7 +185,7 @@ def test_criterion_5_two_factor_totality():
             if not verify_two_factor(w, expected_lengths=spec):
                 failures += 1
     oracle_disagreements = 0
-    for n in range(7, 15):
+    for n in range(7, 23):
         for spec in enumerate_specs(n):
             constructible = True  # two_factor above already succeeded for n >= 7
             if brute_two_factor_exists(n, spec) != constructible:
@@ -197,7 +197,7 @@ def test_criterion_5_two_factor_totality():
         5,
         ok,
         f"{specs} specs over orders 7-60, {failures} failures; "
-        f"oracle agrees on orders 7-14 ({oracle_disagreements} disagreements); "
+        f"oracle agrees on orders 7-22 ({oracle_disagreements} disagreements); "
         f"order 6 as two triangles: {six_two_triangles}",
         elapsed,
     )

@@ -159,6 +159,12 @@ def test_usage_errors(capsys):
     code, _, err = invoke(capsys, "exceptions", "-5", "--oracle")
     assert code == 2
     assert json.loads(err)["detail"]["message"] == "order must be nonnegative, got -5"
+    code, out, err = invoke(capsys, "ap", "3", "--limit", "-5")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "usage",
+        "detail": {"message": "search limit must be nonnegative, got -5"},
+    }
 
 
 def test_verify_ok(capsys, monkeypatch):

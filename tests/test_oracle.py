@@ -108,6 +108,11 @@ def test_two_factor_exists():
         brute_two_factor_exists(7, (2, 5))
     with pytest.raises(OrderCapExceeded):
         brute_two_factor_exists(40, (20, 20))
+    # one default cap for every search
+    assert brute_two_factor_exists(22, (3, 3, 3, 13))
+    with pytest.raises(OrderCapExceeded) as exc:
+        brute_two_factor_exists(23, (3, 20))
+    assert (exc.value.order, exc.value.cap) == (23, 22)
 
 
 def test_diff_restricted_cycle():

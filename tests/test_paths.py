@@ -89,6 +89,15 @@ def test_exception_sets_match_oracle():
         assert brute_infeasible_pairs(n) == set()
 
 
+def test_infeasible_pairs_read_the_table(monkeypatch):
+    def no_building(*args):
+        raise AssertionError("infeasible_pairs built a path")
+
+    monkeypatch.setattr("primediff.paths._ham_seq", no_building)
+    for n in (*range(5, 13), 10**6):
+        assert infeasible_pairs(n) == EXCEPTION_PAIRS.get(n, frozenset())
+
+
 @pytest.mark.parametrize("n", range(9, 36))
 def test_all_pairs_feasible_from_order_nine(n):
     for a in range(1, n):

@@ -103,6 +103,8 @@ def test_progression_exhaustion_and_validation():
     assert prime_arithmetic_progression(2, 1) is None
     with pytest.raises(ValueError):
         prime_arithmetic_progression(0, 100)
+    with pytest.raises(ValueError, match="-5"):
+        prime_arithmetic_progression(3, -5)
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=300))
