@@ -1,16 +1,17 @@
 """2-factor realization: partition [1, n] into cycles of prescribed lengths.
 
 Any multiset of parts >= 3 summing to n >= 7 is realizable (orders 5 and 6
-only admit the single full cycle).  The realization peels fixed blocks off
-the low end of the interval: small combinations come from hand tables, a
-single long part comes from a Hamilton cycle, and mixed multisets reduce by
-one tabulated prefix block per step, ordered so that no step strands a
-remainder with no block of its own.
+only admit the single full cycle).  The realization peels pieces off the low
+end of the interval.  A remainder that `_BLOCKS` holds is placed whole; any
+other sheds one piece by a fixed rule: 3s in fours or threes when nothing
+else is left, a 3 paired with a 4 or with the smallest long part, a pair of
+4s, a 4 with the smallest long part, or a long part alone as a Hamilton
+cycle.  The pairings come from `_BLOCKS` when it holds them, else from a
+generic formula, and no step strands a remainder with no block of its own.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from .errors import Infeasible
@@ -19,75 +20,50 @@ from .paths import _path_1m
 from .transforms import shift_seq
 
 # ---------------------------------------------------------------------------
-# Fixed blocks on [1, size].  Each entry lists cycles covering the interval
-# exactly.  Names give the length multiset.
+# Hand-built blocks.  _BLOCKS[lengths] lists cycles of those lengths covering
+# [1, sum(lengths)] exactly; keys are sorted length multisets.
 
-_TWO_C4 = ((1, 3, 8, 6), (2, 5, 7, 4))
-_THREE_C4 = ((1, 3, 10, 8), (2, 5, 12, 7), (9, 11, 6, 4))
-_C3_C4 = ((1, 3, 6), (2, 5, 7, 4))
-_C3_2C4 = ((1, 3, 8), (4, 6, 9, 11), (2, 5, 10, 7))
-_TWO_C3_C4 = ((1, 3, 8), (4, 6, 9), (2, 5, 10, 7))
-_TWO_C3_C5 = ((1, 3, 8), (5, 10, 7), (2, 9, 11, 6, 4))
-_THREE_C3 = ((1, 3, 8), (2, 5, 7), (4, 6, 9))
-_FOUR_C3 = ((1, 3, 8), (2, 7, 9), (4, 6, 11), (5, 10, 12))
-_THREE_C3_C4 = ((1, 3, 8), (2, 7, 9), (5, 10, 12), (4, 6, 13, 11))
-_FIVE_C3 = ((1, 3, 6), (2, 4, 15), (5, 7, 10), (8, 11, 13), (9, 12, 14))
-
-_C3_WITH: dict[int, tuple[tuple[int, ...], ...]] = {
-    4: _C3_C4,
-    5: ((2, 5, 7), (1, 3, 8, 6, 4)),
-    6: ((1, 3, 8), (2, 5, 7, 9, 6, 4)),
-    7: ((1, 3, 8), (2, 5, 10, 7, 9, 6, 4)),
-    8: ((1, 3, 8), (2, 5, 10, 7, 9, 11, 6, 4)),
+_BLOCKS: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
+    # The terminal remainders of the peel: mixes of 3s and 4s, runs of 3s.
+    (4, 4): ((1, 3, 8, 6), (2, 5, 7, 4)),
+    (4, 4, 4): ((1, 3, 10, 8), (2, 5, 12, 7), (9, 11, 6, 4)),
+    (3, 4): ((1, 3, 6), (2, 5, 7, 4)),
+    (3, 4, 4): ((1, 3, 8), (4, 6, 9, 11), (2, 5, 10, 7)),
+    (3, 3, 4): ((1, 3, 8), (4, 6, 9), (2, 5, 10, 7)),
+    (3, 3, 3, 4): ((1, 3, 8), (2, 7, 9), (5, 10, 12), (4, 6, 13, 11)),
+    (3, 3, 3): ((1, 3, 8), (2, 5, 7), (4, 6, 9)),
+    (3, 3, 3, 3): ((1, 3, 8), (2, 7, 9), (4, 6, 11), (5, 10, 12)),
+    (3, 3, 3, 3, 3): ((1, 3, 6), (2, 4, 15), (5, 7, 10), (8, 11, 13), (9, 12, 14)),
+    # A 3 or a 4 with a long part too short for the generic formulas below.
+    (3, 5): ((2, 5, 7), (1, 3, 8, 6, 4)),
+    (3, 6): ((1, 3, 8), (2, 5, 7, 9, 6, 4)),
+    (3, 7): ((1, 3, 8), (2, 5, 10, 7, 9, 6, 4)),
+    (3, 8): ((1, 3, 8), (2, 5, 10, 7, 9, 11, 6, 4)),
+    (3, 3, 5): ((1, 3, 8), (5, 10, 7), (2, 9, 11, 6, 4)),
+    (4, 5): ((1, 3, 8, 6), (2, 5, 7, 9, 4)),
+    (4, 6): ((1, 3, 8, 6), (2, 5, 10, 7, 9, 4)),
+    (4, 7): ((1, 3, 8, 6), (2, 5, 10, 7, 9, 11, 4)),
+    (4, 8): ((1, 3, 8, 6), (2, 5, 10, 7, 12, 9, 11, 4)),
 }
-
-_C4_WITH: dict[int, tuple[tuple[int, ...], ...]] = {
-    5: ((1, 3, 8, 6), (2, 5, 7, 9, 4)),
-    6: ((1, 3, 8, 6), (2, 5, 10, 7, 9, 4)),
-    7: ((1, 3, 8, 6), (2, 5, 10, 7, 9, 11, 4)),
-    8: ((1, 3, 8, 6), (2, 5, 10, 7, 12, 9, 11, 4)),
-}
+_KEY_PARTS = max(map(len, _BLOCKS))  # longer remainders skip the lookup
 
 
 def _c3_with(big: int) -> tuple[tuple[int, ...], ...]:
-    """{3, big} on [1, 3 + big]."""
-    if big in _C3_WITH:
-        return _C3_WITH[big]
-    # big >= 9: triangle on {1, 3, 6}, the long cycle threads the rest via a
-    # 7 -> 8 Hamilton path of [7, 3 + big] closed through 5 and wrapped back
-    # to 2 and 4 (differences 2, 3, and 8 - 5 = 3).
+    """{3, big} on [1, 3 + big], big >= 9."""
+    # Triangle on {1, 3, 6}; the long cycle threads the rest via a 7 -> 8
+    # Hamilton path of [7, 3 + big] closed through 5 and wrapped back to 2
+    # and 4 (differences 2, 3, and 8 - 5 = 3).
     return ((1, 3, 6), (5, 2, 4) + _path_1m(big - 3, 2, 6))
 
 
 def _c4_with(big: int) -> tuple[tuple[int, ...], ...]:
-    """{4, big} on [1, 4 + big]."""
-    if big in _C4_WITH:
-        return _C4_WITH[big]
+    """{4, big} on [1, 4 + big], big >= 9."""
     return ((2, 5, 7, 4), (6, 1, 3) + _path_1m(big - 3, 2, 7))
 
 
 def _two_c3_with(big: int) -> tuple[tuple[int, ...], ...]:
-    """{3, 3, big} on [1, 6 + big]."""
-    if big == 5:
-        return _TWO_C3_C5
+    """{3, 3, big} on [1, 6 + big], big >= 6."""
     return ((1, 3, 6), (2, 4, 7), (5,) + _path_1m(big - 1, 3, 7))
-
-
-def _schedule_threes(m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All parts equal to 3: a list of fixed blocks whose 3-counts sum to m."""
-    blocks: list[tuple[tuple[int, ...], ...]] = []
-    if m == 5:
-        return [_FIVE_C3]
-    if m % 3 == 1:
-        blocks.append(_FOUR_C3)
-        m -= 4
-    elif m % 3 == 2:
-        # m >= 8 here (m == 5 handled above, m == 2 is infeasible).
-        blocks.append(_FOUR_C3)
-        blocks.append(_FOUR_C3)
-        m -= 8
-    blocks.extend(_THREE_C3 for _ in range(m // 3))
-    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -128,66 +104,61 @@ def _validate_spec(n: int, lengths: Iterable[int]) -> tuple[int, ...]:
     return parts
 
 
-def _realize(n: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    counts = Counter(parts)
-    threes = counts.pop(3, 0)
-    fours = counts.pop(4, 0)
-    big = sorted(counts.elements())
+def _realize(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles covering [1, sum(parts)] with the sorted lengths `parts`."""
+    threes = parts.count(3)
+    fours = parts.count(4)
+    big = list(reversed(parts[threes + fours :]))  # long parts, smallest last
 
     cycles: list[tuple[int, ...]] = []
     lo = 1
 
-    def place(*blocks: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Shift blocks built on [1, size] up to start at lo, in turn;
-        returns every cycle placed so far."""
+    def place(block: Iterable[tuple[int, ...]]) -> None:
+        """Shift a block built on [1, size] up to start at lo."""
         nonlocal lo
-        for block in blocks:
-            shift = lo - 1
-            for cyc in block:
-                cycles.append(shift_seq(cyc, shift))
-                lo += len(cyc)
-        return cycles
+        shift = lo - 1
+        for cyc in block:
+            cycles.append(shift_seq(cyc, shift))
+            lo += len(cyc)
 
-    # Peel one 3 at a time, paired with a 4 while any is left, else with the
-    # smallest long part, until a terminal block covers all that remains; no
-    # peel strands one or two 3s without a non-3 part to pair with.
-    while threes:
-        nonthree = fours + len(big)
-        if threes == 1 and fours == 2 and not big:
-            return place(_C3_2C4)
-        if threes == 2 and fours == 1 and not big:
-            return place(_TWO_C3_C4)
-        if threes == 2 and fours == 0 and len(big) == 1:
-            return place(_two_c3_with(big[0]))
-        if nonthree == 0:
-            return place(*_schedule_threes(threes))
-        if threes == 3 and nonthree == 1:
-            if fours:
-                return place(_THREE_C3_C4)
-            return place(_THREE_C3, (_path_1m(big[0], 4),))
-        if fours:
-            place(_c3_with(4))
+    while threes or fours or big:
+        if threes + fours + len(big) <= _KEY_PARTS:
+            block = _BLOCKS.get((3,) * threes + (4,) * fours + tuple(reversed(big)))
+            if block:
+                place(block)
+                break
+        if threes and fours:
+            place(_BLOCKS[3, 4])
+            threes -= 1
             fours -= 1
-        else:
-            place(_c3_with(big.pop(0)))
-        threes -= 1
-
-    while fours or big:
-        if fours == 0:
-            # Long parts only (all >= 5): each spans its own subinterval,
-            # a 1 -> 4 Hamilton path closed by the difference 3.
-            place((_path_1m(big.pop(0), 4),))
-        elif fours == 3 and not big:
-            place(_THREE_C4)
-            fours = 0
+        elif threes and not big:
+            take = 4 if threes % 3 else 3
+            place(_BLOCKS[(3,) * take])
+            threes -= take
+        # Two or three 3s beside one long part end here: pairing a 3 with
+        # the long part would strand the others.
+        elif threes == 2 and len(big) == 1:
+            place(_two_c3_with(big.pop()))
+            threes = 0
+        elif threes == 3 and len(big) == 1:
+            place(_BLOCKS[3, 3, 3])
+            threes = 0
+        elif threes:
+            x = big.pop()
+            place(_BLOCKS.get((3, x)) or _c3_with(x))
+            threes -= 1
         elif fours >= 2:
-            place(_TWO_C4)
+            place(_BLOCKS[4, 4])
             fours -= 2
-        else:
-            # Exactly one 4: pair it with a long part (one exists, since a
-            # lone {4} never reaches here: sum >= 7 forces company).
-            place(_c4_with(big.pop(0)))
+        elif fours:
+            # A lone 4 has a long part for company: a sum of 4 is no order.
+            x = big.pop()
+            place(_BLOCKS.get((4, x)) or _c4_with(x))
             fours = 0
+        else:
+            # Each long part spans its own subinterval, a 1 -> 4 Hamilton
+            # path closed by the difference 3.
+            place((_path_1m(big.pop(), 4),))
     return cycles
 
 
@@ -200,12 +171,8 @@ def two_factor(n: int, lengths: Iterable[int]) -> TwoFactorWitness:
     parts = _validate_spec(n, lengths)
     if n < 5:
         raise Infeasible(f"no 2-factor at order {n}", n=n)
-    if len(parts) == 1:
-        cycles = [_path_1m(n, 4)]  # a 1 -> 4 path closes with difference 3
-    elif n <= 6:
+    if n <= 6 and len(parts) > 1:
         raise Infeasible(
             f"order {n} admits only the single full cycle", n=n, lengths=parts
         )
-    else:
-        cycles = _realize(n, parts)
-    return certify(TwoFactorWitness(Interval(1, n), tuple(cycles)), expected_lengths=parts)
+    return certify(TwoFactorWitness(Interval(1, n), tuple(_realize(parts))), expected_lengths=parts)

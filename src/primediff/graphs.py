@@ -69,9 +69,6 @@ class CycleWitness:
     interval: Interval
     sequence: tuple[int, ...]
 
-    def canonical(self) -> "CycleWitness":
-        return CycleWitness(self.interval, canonical_cycle(self.sequence))
-
 
 @dataclass(frozen=True)
 class TwoFactorWitness:

@@ -1,17 +1,17 @@
 """Hamilton paths with designated endpoints, and Hamilton cycles.
 
-Everything is built from fixed seed tables plus three interval moves
-(complement, shift, reversal): long paths wrap or chain shorter ones, and
-arbitrary endpoint pairs reduce to paths that start at 1.  Orders 5 through 8
-carry a handful of genuinely infeasible endpoint pairs, listed exactly in
-`EXCEPTION_PAIRS`; from order 9 on every pair is realizable.  Each public
-constructor re-verifies its witness before returning it.
+Everything is built from one table of hand-built rows plus three interval
+moves (complement, shift, reversal): long paths wrap or chain shorter ones,
+and arbitrary endpoint pairs reduce to paths that start at 1.  Orders 5
+through 8 carry a handful of genuinely infeasible endpoint pairs, listed
+exactly in `EXCEPTION_PAIRS`; from order 9 on every pair is realizable.  Each
+public constructor re-verifies its witness before returning it.
 
-Each table is the one statement of its fact.  `_path_1m`, the only builder
-of paths from vertex 1, looks up `BASE_SEEDS` and `INIT_1M` before it
-recurses, so the recursion needs no order thresholds; `_ham_seq` takes a
-`BRIDGE_PATCH` row exactly where that table has its key; and
-`infeasible_pairs` returns `EXCEPTION_PAIRS` as stored, at any order.
+Each table is the one statement of its fact.  `ROWS[(n, a, b)]` holds every
+hand-built path, from a to b as stored; `_path_1m` (the only builder of paths
+from vertex 1) and `_ham_seq` each read it once before their generic rule, so
+no recursion repeats its key ranges as order thresholds.  `infeasible_pairs`
+returns `EXCEPTION_PAIRS` as stored, at any order.
 
 Builders emit each piece in place: `_path_1m(n, m, k)` is the path on
 [k+1, k+n], made of ranges offset by k, so each vertex int is created once
@@ -27,105 +27,89 @@ from .primes import is_prime
 from .transforms import complement_seq, reverse_seq, shift_seq
 
 # ---------------------------------------------------------------------------
-# Seed tables.
-#
-# BASE_SEEDS[(n, m)] is a Hamilton path of [1, n] from 1 to m.  For each
-# m in [2, 6] the seeds cover the orders below the generic recursion's reach;
-# (5, 3) and (5, 4) are the only endpoint pairs realizable at order 5 from
-# vertex 1.
+# Hand-built rows.  ROWS[(n, a, b)] is a Hamilton path of [1, n] from a to b,
+# a < b <= n + 1 - a.  The pairs it does not hold are mirrored into that half,
+# built generically, or listed in EXCEPTION_PAIRS.
 
-BASE_SEEDS: dict[tuple[int, int], tuple[int, ...]] = {
-    (6, 2): (1, 4, 6, 3, 5, 2),
-    (7, 2): (1, 4, 6, 3, 5, 7, 2),
-    (5, 3): (1, 4, 2, 5, 3),
-    (6, 3): (1, 6, 4, 2, 5, 3),
-    (7, 3): (1, 6, 4, 2, 7, 5, 3),
-    (8, 3): (1, 4, 2, 7, 5, 8, 6, 3),
-    (9, 3): (1, 4, 2, 5, 7, 9, 6, 8, 3),
-    (5, 4): (1, 3, 5, 2, 4),
-    (6, 4): (1, 6, 3, 5, 2, 4),
-    (7, 4): (1, 6, 3, 5, 2, 7, 4),
-    (8, 4): (1, 3, 6, 8, 5, 7, 2, 4),
-    (6, 5): (1, 3, 6, 4, 2, 5),
-    (7, 5): (1, 3, 6, 4, 2, 7, 5),
-    (8, 5): (1, 8, 3, 6, 4, 2, 7, 5),
-    (9, 5): (1, 4, 2, 7, 9, 6, 3, 8, 5),
-    (10, 5): (1, 4, 2, 9, 6, 3, 8, 10, 7, 5),
-    (6, 6): (1, 3, 5, 2, 4, 6),
-    (7, 6): (1, 4, 7, 2, 5, 3, 6),
-    (8, 6): (1, 8, 3, 5, 7, 2, 4, 6),
-    (9, 6): (1, 4, 7, 9, 2, 5, 3, 8, 6),
-    (10, 6): (1, 4, 2, 5, 3, 8, 10, 7, 9, 6),
-}
-
-# INIT_1M[(n, m)] extends the reachable far endpoints to m in [7, 10] for the
-# four orders the five-step chaining below cannot reduce further.
-
-INIT_1M: dict[tuple[int, int], tuple[int, ...]] = {
-    (7, 7): (1, 3, 6, 4, 2, 5, 7),
-    (8, 7): (1, 8, 6, 3, 5, 2, 4, 7),
-    (8, 8): (1, 3, 5, 7, 2, 4, 6, 8),
-    (9, 7): (1, 3, 5, 8, 6, 9, 4, 2, 7),
-    (9, 8): (1, 3, 5, 7, 9, 2, 4, 6, 8),
-    (9, 9): (1, 3, 5, 8, 6, 4, 7, 2, 9),
-    (10, 7): (1, 4, 2, 9, 6, 3, 5, 8, 10, 7),
-    (10, 8): (1, 4, 2, 9, 7, 10, 5, 3, 6, 8),
-    (10, 9): (1, 8, 3, 5, 10, 7, 2, 4, 6, 9),
-    (10, 10): (1, 3, 5, 7, 9, 2, 4, 6, 8, 10),
-}
-
-# Orders 5..8: the full list of infeasible endpoint pairs, and explicit rows
-# for every feasible pair a > 1 with a <= n + 1 - b; the other pairs start at
-# vertex 1 or are complements of these.  Rows are stored exactly as
-# tabulated, in either orientation.
-
-EXCEPTION_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
-    5: frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}),
-    6: frozenset({(2, 3), (3, 4), (4, 5)}),
-    7: frozenset({(3, 4), (4, 5)}),
-    8: frozenset({(4, 5)}),
-}
-
-SMALL_ORDER_ROWS: dict[tuple[int, tuple[int, int]], tuple[int, ...]] = {
-    (5, (2, 4)): (2, 5, 3, 1, 4),
-    (6, (2, 4)): (2, 5, 3, 6, 1, 4),
-    (6, (2, 5)): (2, 4, 6, 1, 3, 5),
-    (7, (2, 3)): (2, 5, 7, 4, 1, 6, 3),
-    (7, (2, 4)): (2, 7, 5, 3, 6, 1, 4),
-    (7, (2, 5)): (2, 7, 4, 6, 1, 3, 5),
-    (7, (2, 6)): (2, 4, 7, 5, 3, 1, 6),
-    (7, (3, 5)): (3, 1, 6, 4, 2, 7, 5),
-    (8, (2, 3)): (2, 5, 7, 4, 1, 6, 8, 3),
-    (8, (2, 4)): (2, 7, 5, 3, 8, 6, 1, 4),
-    (8, (2, 5)): (2, 7, 4, 6, 1, 8, 3, 5),
-    (8, (2, 6)): (2, 4, 7, 5, 3, 1, 8, 6),
-    (8, (2, 7)): (2, 4, 1, 3, 6, 8, 5, 7),
-    (8, (3, 4)): (3, 6, 1, 8, 5, 2, 7, 4),
-    (8, (3, 5)): (3, 1, 8, 6, 4, 2, 7, 5),
-    (8, (3, 6)): (3, 1, 4, 2, 7, 5, 8, 6),
-}
-
-# Order 9 rows for the low-low endpoint patterns whose generic form needs one
-# more vertex of slack.
-
-SPECIAL_ORDER9: dict[tuple[int, int], tuple[int, ...]] = {
-    (4, 5): (4, 1, 3, 8, 6, 9, 7, 2, 5),
-    (4, 6): (4, 1, 3, 8, 5, 2, 7, 9, 6),
-    (3, 6): (3, 1, 4, 2, 9, 7, 5, 8, 6),
-    (2, 6): (2, 4, 1, 3, 8, 5, 7, 9, 6),
-}
-
-# The split at vertex 6 needs at least six vertices on the right (five when
-# the residual far endpoint is 3 or 4 away from the window start).  These six
-# pairs at orders 9 and 10 have no room for it; their rows are explicit.
-
-BRIDGE_PATCH: dict[tuple[int, int, int], tuple[int, ...]] = {
+ROWS: dict[tuple[int, int, int], tuple[int, ...]] = {
+    # From vertex 1 to m in [2, 6], for the orders below the generic
+    # recursion's reach; (5, 1, 3) and (5, 1, 4) are the only pairs
+    # realizable at order 5 from vertex 1.
+    (6, 1, 2): (1, 4, 6, 3, 5, 2),
+    (7, 1, 2): (1, 4, 6, 3, 5, 7, 2),
+    (5, 1, 3): (1, 4, 2, 5, 3),
+    (6, 1, 3): (1, 6, 4, 2, 5, 3),
+    (7, 1, 3): (1, 6, 4, 2, 7, 5, 3),
+    (8, 1, 3): (1, 4, 2, 7, 5, 8, 6, 3),
+    (9, 1, 3): (1, 4, 2, 5, 7, 9, 6, 8, 3),
+    (5, 1, 4): (1, 3, 5, 2, 4),
+    (6, 1, 4): (1, 6, 3, 5, 2, 4),
+    (7, 1, 4): (1, 6, 3, 5, 2, 7, 4),
+    (8, 1, 4): (1, 3, 6, 8, 5, 7, 2, 4),
+    (6, 1, 5): (1, 3, 6, 4, 2, 5),
+    (7, 1, 5): (1, 3, 6, 4, 2, 7, 5),
+    (8, 1, 5): (1, 8, 3, 6, 4, 2, 7, 5),
+    (9, 1, 5): (1, 4, 2, 7, 9, 6, 3, 8, 5),
+    (10, 1, 5): (1, 4, 2, 9, 6, 3, 8, 10, 7, 5),
+    (6, 1, 6): (1, 3, 5, 2, 4, 6),
+    (7, 1, 6): (1, 4, 7, 2, 5, 3, 6),
+    (8, 1, 6): (1, 8, 3, 5, 7, 2, 4, 6),
+    (9, 1, 6): (1, 4, 7, 9, 2, 5, 3, 8, 6),
+    (10, 1, 6): (1, 4, 2, 5, 3, 8, 10, 7, 9, 6),
+    # From vertex 1 to m in [7, 10], for the four orders the five-step
+    # chaining of `_path_1m` cannot reduce further.
+    (7, 1, 7): (1, 3, 6, 4, 2, 5, 7),
+    (8, 1, 7): (1, 8, 6, 3, 5, 2, 4, 7),
+    (8, 1, 8): (1, 3, 5, 7, 2, 4, 6, 8),
+    (9, 1, 7): (1, 3, 5, 8, 6, 9, 4, 2, 7),
+    (9, 1, 8): (1, 3, 5, 7, 9, 2, 4, 6, 8),
+    (9, 1, 9): (1, 3, 5, 8, 6, 4, 7, 2, 9),
+    (10, 1, 7): (1, 4, 2, 9, 6, 3, 5, 8, 10, 7),
+    (10, 1, 8): (1, 4, 2, 9, 7, 10, 5, 3, 6, 8),
+    (10, 1, 9): (1, 8, 3, 5, 10, 7, 2, 4, 6, 9),
+    (10, 1, 10): (1, 3, 5, 7, 9, 2, 4, 6, 8, 10),
+    # Orders 5..8: every feasible pair with 1 < a <= n + 1 - b, so that
+    # `_ham_seq` reaches none of its generic forms below order 9.
+    (5, 2, 4): (2, 5, 3, 1, 4),
+    (6, 2, 4): (2, 5, 3, 6, 1, 4),
+    (6, 2, 5): (2, 4, 6, 1, 3, 5),
+    (7, 2, 3): (2, 5, 7, 4, 1, 6, 3),
+    (7, 2, 4): (2, 7, 5, 3, 6, 1, 4),
+    (7, 2, 5): (2, 7, 4, 6, 1, 3, 5),
+    (7, 2, 6): (2, 4, 7, 5, 3, 1, 6),
+    (7, 3, 5): (3, 1, 6, 4, 2, 7, 5),
+    (8, 2, 3): (2, 5, 7, 4, 1, 6, 8, 3),
+    (8, 2, 4): (2, 7, 5, 3, 8, 6, 1, 4),
+    (8, 2, 5): (2, 7, 4, 6, 1, 8, 3, 5),
+    (8, 2, 6): (2, 4, 7, 5, 3, 1, 8, 6),
+    (8, 2, 7): (2, 4, 1, 3, 6, 8, 5, 7),
+    (8, 3, 4): (3, 6, 1, 8, 5, 2, 7, 4),
+    (8, 3, 5): (3, 1, 8, 6, 4, 2, 7, 5),
+    (8, 3, 6): (3, 1, 4, 2, 7, 5, 8, 6),
+    # Order 9, low-low endpoint patterns whose fixed-prefix form needs one
+    # more vertex of slack.
+    (9, 4, 5): (4, 1, 3, 8, 6, 9, 7, 2, 5),
+    (9, 4, 6): (4, 1, 3, 8, 5, 2, 7, 9, 6),
+    (9, 3, 6): (3, 1, 4, 2, 9, 7, 5, 8, 6),
+    (9, 2, 6): (2, 4, 1, 3, 8, 5, 7, 9, 6),
+    # The split at vertex 6 needs at least six vertices on the right (five
+    # when the residual far endpoint is 3 or 4 away from the window start);
+    # these pairs at orders 9 and 10 have no room for it.
     (9, 2, 7): (2, 9, 6, 4, 1, 3, 8, 5, 7),
     (9, 3, 7): (3, 1, 4, 2, 9, 6, 8, 5, 7),
     (9, 2, 8): (2, 9, 7, 5, 3, 1, 4, 6, 8),
     (10, 2, 7): (2, 9, 4, 6, 1, 3, 8, 10, 5, 7),
     (10, 3, 7): (3, 1, 4, 2, 9, 6, 8, 10, 5, 7),
     (10, 4, 7): (4, 2, 9, 6, 1, 3, 8, 10, 5, 7),
+}
+
+# Orders 5..8: the full list of infeasible endpoint pairs.
+
+EXCEPTION_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
+    5: frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}),
+    6: frozenset({(2, 3), (3, 4), (4, 5)}),
+    7: frozenset({(3, 4), (4, 5)}),
+    8: frozenset({(4, 5)}),
 }
 
 
@@ -142,16 +126,16 @@ def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
         raise ValueError(f"order {n} below the supported range")
     if n == 5 and m not in (3, 4):
         raise Infeasible(f"no Hamilton path from 1 to {m} at order 5", n=5, endpoints=(1, m))
-    # The tables hold exactly the orders below each recursion's reach.
-    seed = BASE_SEEDS.get((n, m)) or INIT_1M.get((n, m))
-    if seed is not None:
-        return shift_seq(seed, k)
+    # The table holds exactly the orders below each recursion's reach.
+    row = ROWS.get((n, 1, m))
+    if row is not None:
+        return shift_seq(row, k)
     if m == 2:
         # Wrapping 1 ... 2 around the order-(n-2) path, unrolled: odd ramp,
-        # shifted seed, even ramp back down.
-        seed = BASE_SEEDS[6 if n % 2 == 0 else 7, 2]
-        r = k + n - len(seed)
-        return (*range(k + 1, r, 2), *shift_seq(seed, r), *range(r, k + 1, -2))
+        # shifted row, even ramp back down.
+        row = ROWS[6 if n % 2 == 0 else 7, 1, 2]
+        r = k + n - len(row)
+        return (*range(k + 1, r, 2), *shift_seq(row, r), *range(r, k + 1, -2))
     if m == 3:
         return (k + 1, k + 4, k + 2) + _path_1m(n - 4, 2, k + 4) + (k + 3,)
     if m == 4:
@@ -164,7 +148,7 @@ def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
     # is a base far endpoint (m - 5q <= 6) or one of the order-7..10 rows.
     q = min((n - 6) // 5, (m - 2) // 5)
     seq = [0] * (5 * q)
-    for i, v in enumerate(BASE_SEEDS[6, 6][:5]):
+    for i, v in enumerate(ROWS[6, 1, 6][:5]):
         seq[i::5] = range(k + v, k + v + 5 * q, 5)
     seq += _path_1m(n - 5 * q, m - 5 * q, k + 5 * q)
     return tuple(seq)
@@ -183,11 +167,11 @@ def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
     if a > n + 1 - b:
         # Mirror into the half where the left endpoint is the tighter one.
         return reverse_seq(complement_seq(_ham_seq(n, n + 1 - b, n + 1 - a), 1, n))
+    row = ROWS.get((n, a, b))
+    if row is not None:
+        return row
     if a == 1:
         return _path_1m(n, b)
-    if n <= 8:
-        row = SMALL_ORDER_ROWS[n, (a, b)]
-        return row if row[0] == a else reverse_seq(row)
     if a >= 6:
         # Cover [1, a] ending next to a+1, then the rest.
         left = complement_seq(_path_1m(a, 2), 1, a)  # a -> a-1
@@ -197,15 +181,11 @@ def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
             right = _path_1m(n - a, b - a, a)  # a+1 -> b
         return left + right
     if b >= 7:
-        if (n, a, b) in BRIDGE_PATCH:
-            return BRIDGE_PATCH[n, a, b]
         # Split at vertex 6: cover [1, 6] from a to 6, then [6, n] from 6 to b.
         left = reverse_seq(complement_seq(_path_1m(6, 7 - a), 1, 6))  # a -> 6
         right = _path_1m(n - 5, b - 5, 5)  # 6 -> b
         return left + right[1:]
     # 2 <= a < b <= 6: fixed prefixes around one long interior segment.
-    if n == 9 and (a, b) in SPECIAL_ORDER9:
-        return SPECIAL_ORDER9[a, b]
     if (a, b) == (2, 3):
         return (2,) + _path_1m(n - 3, 3, 3) + (1, 3)
     if (a, b) == (2, 4):

@@ -30,11 +30,7 @@ from primediff.oracle import (
     brute_two_factor_exists,
 )
 from primediff.paths import (
-    BRIDGE_PATCH,
-    INIT_1M,
-    BASE_SEEDS,
-    SMALL_ORDER_ROWS,
-    SPECIAL_ORDER9,
+    ROWS,
     hamilton_cycle_through_edge,
     hamilton_path,
     infeasible_pairs,
@@ -122,23 +118,13 @@ def test_criterion_2_oracle_finds_no_infeasible_pair():
 
 def test_criterion_3_golden_rows():
     bad = []
-    for (n, m), seq in {**BASE_SEEDS, **INIT_1M}.items():
-        if not verify_path(PathWitness(Interval(1, n), seq), (1, m)):
-            bad.append((n, m))
-    for (n, (a, b)), seq in SMALL_ORDER_ROWS.items():
-        # rows are stored in their original orientation, which may run b -> a
-        w = PathWitness(Interval(1, n), seq)
-        if not verify_path(w) or {seq[0], seq[-1]} != {a, b}:
+    for (n, a, b), seq in ROWS.items():
+        # every stored row runs from a to b exactly
+        if not verify_path(PathWitness(Interval(1, n), seq), (a, b)):
             bad.append((n, a, b))
     for (n, (a, b)), seq in DERIVED_SMALL_ORDER_ROWS.items():
         # derived rows must come out of the constructor exactly, up to orientation
         if hamilton_path(n, seq[0], seq[-1]).sequence != seq:
-            bad.append((n, a, b))
-    for (a, b), seq in SPECIAL_ORDER9.items():
-        if not verify_path(PathWitness(Interval(1, 9), seq), (a, b)):
-            bad.append((9, a, b))
-    for (n, a, b), seq in BRIDGE_PATCH.items():
-        if not verify_path(PathWitness(Interval(1, n), seq), (a, b)):
             bad.append((n, a, b))
     # spot equality on stored rows surfaced through the public constructor
     exact = (
@@ -147,9 +133,8 @@ def test_criterion_3_golden_rows():
         and hamilton_path(8, 1, 8).sequence == (1, 3, 5, 7, 2, 4, 6, 8)
         and hamilton_path(7, 2, 3).sequence == (2, 5, 7, 4, 1, 6, 3)
     )
-    rows = len(BASE_SEEDS) + len(INIT_1M) + len(SMALL_ORDER_ROWS) + len(SPECIAL_ORDER9) + len(BRIDGE_PATCH)
     ok = not bad and exact
-    _report(3, ok, f"{rows} stored rows verify; {len(DERIVED_SMALL_ORDER_ROWS)} derived rows and spot rows match exactly")
+    _report(3, ok, f"{len(ROWS)} stored rows verify; {len(DERIVED_SMALL_ORDER_ROWS)} derived rows and spot rows match exactly")
     assert not bad, bad
     assert exact
 

@@ -1,6 +1,7 @@
 """Cycle-cover realization: spec enumeration, totality, oracle agreement."""
 
 import hashlib
+import time
 
 import pytest
 from hypothesis import given
@@ -86,11 +87,35 @@ def test_lengths_given_in_any_order():
 
 @given(st.integers(min_value=7, max_value=90), st.data())
 def test_random_spec_property(n, data):
-    specs = list(enumerate_specs(n))
-    spec = data.draw(st.sampled_from(specs))
+    # Drawn part by part: each part either ends the spec or leaves at least
+    # 3 for the rest, so every spec of n can be drawn in any part order.
+    parts = []
+    rest = n
+    while rest:
+        last = st.just(rest)
+        part = data.draw(last if rest < 6 else st.integers(3, rest - 3) | last)
+        parts.append(part)
+        rest -= part
+    spec = tuple(sorted(parts))
     w = two_factor(n, spec)
     assert verify_two_factor(w, expected_lengths=spec)
     assert w.interval.order == n
+
+
+def test_realize_is_linear_in_the_part_count():
+    # Each long part costs O(1) to peel besides its own cycle, so 4x the
+    # parts takes about 4x the time; a peel that is O(k) per part makes the
+    # ratio approach 16.
+    def best_of_3(k):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            two_factor(5 * k, (5,) * k)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    ratio = best_of_3(100_000) / best_of_3(25_000)
+    assert ratio < 6, f"time ratio {ratio:.1f} for 4x the parts"
 
 
 _LARGE_MIXED_SPECS = [

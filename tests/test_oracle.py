@@ -1,11 +1,15 @@
 """Brute-force searches: ground truth values, determinism, caps."""
 
+import ast
 import hashlib
 import itertools
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from primediff import oracle
 from primediff.errors import OrderCapExceeded
 from primediff.graphs import Interval, verify_cycle, verify_path
 from primediff.oracle import (
@@ -185,3 +189,34 @@ def test_restricted_cycles_are_pinned():
     # added, which must never count): 1,088 cases, byte-identical.
     digest = hashlib.sha256("\n".join(_restricted_lines()).encode()).hexdigest()
     assert digest == "5721b473de5b3c8b25c285fc1422a100ef1b40416417111ae5fca4c78c2e58a6"
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Modules imported by `source` (a module of the primediff package) other
+    than the stdlib and the primes, errors and graphs modules."""
+    allowed = {"primediff.primes", "primediff.errors", "primediff.graphs"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "primediff" if node.level else ""
+            module = ".".join(filter(None, (module, node.module)))
+            if module == "primediff":  # from . import x
+                names += [f"primediff.{alias.name}" for alias in node.names]
+            else:
+                names.append(module)
+    return [
+        name
+        for name in names
+        if ".".join(name.split(".")[:2]) not in allowed
+        and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+
+
+def test_oracle_imports_no_constructive_module():
+    # The oracle is the independent check on the constructions, so it may
+    # use the sieve, the error types and the witness types, nothing else.
+    assert _foreign_imports(Path(oracle.__file__).read_text()) == []
+    probe = "import os\nfrom . import paths\nfrom .factors import two_factor\nfrom primediff.graphs import Interval\nimport primediff.generators\n"
+    assert _foreign_imports(probe) == ["primediff.paths", "primediff.factors", "primediff.generators"]

@@ -14,12 +14,8 @@ from primediff.graphs import Interval, PathWitness, verify_cycle, verify_path
 from primediff.oracle import brute_infeasible_pairs
 from primediff.primes import prime_flags
 from primediff.paths import (
-    BRIDGE_PATCH,
     EXCEPTION_PAIRS,
-    INIT_1M,
-    BASE_SEEDS,
-    SMALL_ORDER_ROWS,
-    SPECIAL_ORDER9,
+    ROWS,
     _ham_seq,
     base_path_1_to_m,
     hamilton_cycle,
@@ -32,18 +28,10 @@ from test_acceptance import DERIVED_SMALL_ORDER_ROWS
 
 
 def test_all_stored_rows_are_valid_paths():
-    for (n, m), seq in {**BASE_SEEDS, **INIT_1M}.items():
+    # exact endpoints and orientation: every row runs from a to b
+    for (n, a, b), seq in ROWS.items():
         w = PathWitness(Interval(1, n), seq)
-        assert verify_path(w, (1, m)), (n, m)
-    for (n, (a, b)), seq in SMALL_ORDER_ROWS.items():
-        # rows keep their original orientation, which may run b -> a
-        w = PathWitness(Interval(1, n), seq)
-        assert verify_path(w), (n, a, b)
-        assert {seq[0], seq[-1]} == {a, b}, (n, a, b)
-    for (a, b), seq in SPECIAL_ORDER9.items():
-        assert verify_path(PathWitness(Interval(1, 9), seq), (a, b)), (a, b)
-    for (n, a, b), seq in BRIDGE_PATCH.items():
-        assert verify_path(PathWitness(Interval(1, n), seq), (a, b)), (n, a, b)
+        assert verify_path(w, (a, b)), (n, a, b)
 
 
 def test_derived_small_order_rows_reproduced():
