@@ -1,9 +1,12 @@
 """Command-line surface: every constructor, the oracle, and the verifier.
 
-Plain output is space-separated vertex sequences (2-factor cycles joined
-with `|`); `--json` emits the witness schema plus {"ok": bool}, byte-stable
-for identical inputs.  Exit codes: 0 success, 1 infeasible, verification
-violation or resource limit (machine-readable reason on stderr), 2 usage error.
+Every command but `verify` prints through `_emit`: plain output is one
+space-separated vertex sequence per line (2-factor cycles joined with `|`);
+`--json` prints one object with "ok": true, byte-stable for identical
+inputs.  Only the requested form is built.  Exit codes: 0 success; 1 for a
+domain error, whose class names its `code`, for running out of memory
+(`resource_limit`) and for a `verify` violation; 2 for a usage error.  Each
+failure but argparse's own prints {"error": code, "detail": {...}} on stderr.
 """
 
 from __future__ import annotations
@@ -12,13 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    ConstructionError,
-    Infeasible,
-    NonEdge,
-    NotFound,
-    OrderCapExceeded,
-)
+from .errors import Infeasible, NotFound, PrimeDiffError
 from .factors import two_factor
 from .generators import cycle_diff23, cycle_two_primes, edge_disjoint_cycles, path_diff23
 from .graphs import Interval, TwoFactorWitness, verify, witness_from_json, witness_to_json
@@ -37,10 +34,8 @@ def _dumps(obj) -> str:
 
 
 def _pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated integers")
-    return int(parts[0]), int(parts[1])
+    a, b = map(int, text.split(","))
+    return a, b
 
 
 def _lengths(text: str) -> tuple[int, ...]:
@@ -53,24 +48,22 @@ def _plain(w) -> str:
     return " ".join(map(str, w.sequence))
 
 
-def _emit_witness(w, as_json: bool) -> int:
+def _emit(as_json: bool, obj, lines) -> int:
+    """Print `{"ok": true, **obj()}` or each of `lines()`; only that form is built."""
     if as_json:
-        print(_dumps({**witness_to_json(w), "ok": True}))
+        print(_dumps({"ok": True, **obj()}))
     else:
-        print(_plain(w))
+        for line in lines():
+            print(line)
     return 0
 
 
-def _emit_witnesses(ws, as_json: bool, extra: dict | None = None) -> int:
-    if as_json:
-        obj = {"ok": True, "witnesses": [witness_to_json(w) for w in ws]}
-        if extra:
-            obj.update(extra)
-        print(_dumps(obj))
-    else:
-        for w in ws:
-            print(_plain(w))
-    return 0
+def _one(w):
+    return (lambda: witness_to_json(w)), (lambda: [_plain(w)])
+
+
+def _many(ws, **extra):
+    return (lambda: {"witnesses": [witness_to_json(w) for w in ws], **extra}), (lambda: map(_plain, ws))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,43 +73,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit witness JSON")
+    order = argparse.ArgumentParser(add_help=False, parents=[common])
+    order.add_argument("n", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("path", parents=[common], help="Hamilton path between two endpoints")
-    sp.add_argument("n", type=int)
+    sp = sub.add_parser("path", parents=[order], help="Hamilton path between two endpoints")
     sp.add_argument("a", type=int)
     sp.add_argument("b", type=int)
 
-    sp = sub.add_parser("cycle", parents=[common], help="Hamilton cycle, optionally through an edge")
-    sp.add_argument("n", type=int)
+    sp = sub.add_parser("cycle", parents=[order], help="Hamilton cycle, optionally through an edge")
     sp.add_argument("--through", type=_pair, metavar="A,B", help="required edge")
 
-    sp = sub.add_parser("two-factor", parents=[common], help="disjoint cycle cover with given lengths")
-    sp.add_argument("n", type=int)
+    sp = sub.add_parser("two-factor", parents=[order], help="disjoint cycle cover with given lengths")
     sp.add_argument("--lengths", type=_lengths, required=True, metavar="L1,L2,...")
 
-    sp = sub.add_parser("diff23", parents=[common], help="Hamilton cycle (or path) with differences 2 and 3 only")
-    sp.add_argument("n", type=int)
+    sp = sub.add_parser("diff23", parents=[order], help="Hamilton cycle (or path) with differences 2 and 3 only")
     sp.add_argument("--path", action="store_true", dest="as_path")
 
-    sp = sub.add_parser("two-prime", parents=[common], help="cycle stepping by the primes of a decomposition n = p + q")
-    sp.add_argument("n", type=int)
+    sp = sub.add_parser("two-prime", parents=[order], help="cycle stepping by the primes of a decomposition n = p + q")
     sp.add_argument("--pair", type=_pair, metavar="P,Q", help="one decomposition (default: all)")
 
-    sp = sub.add_parser("disjoint", parents=[common], help="edge-disjoint Hamilton cycle family")
-    sp.add_argument("n", type=int)
+    sub.add_parser("disjoint", parents=[order], help="edge-disjoint Hamilton cycle family")
 
     sp = sub.add_parser("ap", parents=[common], help="smallest k-term prime arithmetic progression")
     sp.add_argument("k", type=int)
     sp.add_argument("--limit", type=int, default=10_000, help="cap on first term and difference")
 
-    sp = sub.add_parser("exceptions", parents=[common], help="endpoint pairs with no Hamilton path")
-    sp.add_argument("n", type=int)
+    sp = sub.add_parser("exceptions", parents=[order], help="endpoint pairs with no Hamilton path")
     sp.add_argument("--oracle", action="store_true", help="brute-force view instead of constructor view")
     sp.add_argument("--max-order", type=int, default=None)
 
-    sp = sub.add_parser("oracle-path", parents=[common], help="brute-force Hamilton path search")
-    sp.add_argument("n", type=int)
+    sp = sub.add_parser("oracle-path", parents=[order], help="brute-force Hamilton path search")
     sp.add_argument("a", type=int)
     sp.add_argument("b", type=int)
     sp.add_argument("--max-order", type=int, default=None)
@@ -146,71 +133,57 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _dispatch(args) -> int:
+def _output(args):
+    """The (JSON object, plain lines) thunks that `_emit` prints for a command."""
     cmd = args.command
     if cmd == "path":
-        return _emit_witness(hamilton_path(args.n, args.a, args.b), args.json)
+        return _one(hamilton_path(args.n, args.a, args.b))
     if cmd == "cycle":
         if args.through is None:
-            return _emit_witness(hamilton_cycle(args.n), args.json)
-        return _emit_witness(hamilton_cycle_through_edge(args.n, args.through), args.json)
+            return _one(hamilton_cycle(args.n))
+        return _one(hamilton_cycle_through_edge(args.n, args.through))
     if cmd == "two-factor":
-        return _emit_witness(two_factor(args.n, args.lengths), args.json)
+        return _one(two_factor(args.n, args.lengths))
     if cmd == "diff23":
-        w = path_diff23(args.n) if args.as_path else cycle_diff23(args.n)
-        return _emit_witness(w, args.json)
+        return _one(path_diff23(args.n) if args.as_path else cycle_diff23(args.n))
     if cmd == "two-prime":
         if args.pair is not None:
-            return _emit_witness(cycle_two_primes(args.n, args.pair), args.json)
+            return _one(cycle_two_primes(args.n, args.pair))
         pairs = prime_pair_decompositions(args.n)
         if not pairs:
             raise NotFound(f"no prime pair decompositions of {args.n}")
-        return _emit_witnesses([cycle_two_primes(args.n, pr) for pr in pairs], args.json)
+        return _many([cycle_two_primes(args.n, pr) for pr in pairs])
     if cmd == "disjoint":
         fam = edge_disjoint_cycles(args.n)
-        return _emit_witnesses(fam.cycles, args.json, {"sources": list(fam.sources)})
+        return _many(fam.cycles, sources=list(fam.sources))
     if cmd == "ap":
         ap = prime_arithmetic_progression(args.k, args.limit)
         if ap is None:
             raise NotFound(
                 f"no {args.k}-term prime progression with first term and difference at most {args.limit}"
             )
-        if args.json:
-            print(_dumps({"ok": True, "progression": list(ap)}))
-        else:
-            print(" ".join(map(str, ap)))
-        return 0
+        return (lambda: {"progression": list(ap)}), (lambda: [" ".join(map(str, ap))])
     if cmd == "exceptions":
         if args.oracle:
             pairs = sorted(brute_infeasible_pairs(args.n, max_order=args.max_order))
         else:
             pairs = sorted(infeasible_pairs(args.n))
-        if args.json:
-            print(_dumps({"ok": True, "pairs": [list(p) for p in pairs]}))
-        else:
-            for a, b in pairs:
-                print(f"({a},{b})")
-        return 0
+        return (lambda: {"pairs": [list(p) for p in pairs]}), (lambda: (f"({a},{b})" for a, b in pairs))
     if cmd == "oracle-path":
-        w = brute_hamilton_path(
-            Interval(1, args.n), (args.a, args.b), max_order=args.max_order
-        )
+        w = brute_hamilton_path(Interval(1, args.n), (args.a, args.b), max_order=args.max_order)
         if w is None:
             raise Infeasible(
                 f"no Hamilton path between {args.a} and {args.b} at order {args.n}",
                 n=args.n,
                 endpoints=(args.a, args.b),
             )
-        return _emit_witness(w, args.json)
-    if cmd == "verify":
-        return _cmd_verify(args)
+        return _one(w)
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
-def _domain_error(code: str, message: str, detail: dict | None) -> int:
-    payload = {"error": code, "detail": {"message": message, **(detail or {})}}
-    print(_dumps(payload), file=sys.stderr)
-    return 1
+def _fail(code: str, message: str, detail: dict | None = None, status: int = 1) -> int:
+    print(_dumps({"error": code, "detail": {"message": message, **(detail or {})}}), file=sys.stderr)
+    return status
 
 
 def run(argv=None) -> int:
@@ -218,25 +191,17 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 2
+        return e.code if isinstance(e.code, int) else 2
     try:
-        return _dispatch(args)
-    except Infeasible as e:
-        return _domain_error("infeasible", str(e), e.detail)
-    except NonEdge as e:
-        return _domain_error("non_edge", str(e), None)
-    except NotFound as e:
-        return _domain_error("not_found", str(e), None)
-    except OrderCapExceeded as e:
-        return _domain_error("order_cap_exceeded", str(e), {"order": e.order, "cap": e.cap})
-    except ConstructionError as e:
-        return _domain_error("construction_error", str(e), None)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _emit(args.json, *_output(args))
+    except PrimeDiffError as e:
+        return _fail(e.code, str(e), e.detail)
     except MemoryError:
-        return _domain_error("resource_limit", f"{args.command}: out of memory", None)
+        return _fail("resource_limit", f"{args.command}: out of memory")
     except ValueError as e:
-        print(_dumps({"error": "usage", "detail": {"message": str(e)}}), file=sys.stderr)
-        return 2
+        return _fail("usage", str(e), status=2)
 
 
 def main(argv=None) -> None:

@@ -36,6 +36,20 @@ def path_diff23(n: int) -> PathWitness:
     return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(n, n - 1), allowed_diffs={2, 3})
 
 
+def _seq_cycle23(n: int) -> tuple[int, ...]:
+    """The unchecked sequence of `cycle_diff23(n)`, for n = 5 and n >= 10."""
+    if n == 5:
+        return (1, 4, 2, 5, 3)
+    # Glue two difference-{2,3} paths: one on [1, h+1] from h+1 to h, one on
+    # [h, n] from n down to n-1 complemented to run h -> h+1; the junction
+    # differences are |h+1 - h| mates already inside the two sequences, and
+    # the seam edges are h+1..(second path start) and (second path end)..h+1.
+    h = n // 2
+    a_part = _seq_diff23(h + 1)
+    b_part = complement_seq(_seq_diff23(n - h + 1), 1, n)  # h -> h+1 on [h, n]
+    return a_part + b_part[1:-1]
+
+
 def cycle_diff23(n: int) -> CycleWitness:
     """Hamilton cycle of [1, n] using only differences 2 and 3.
 
@@ -43,19 +57,18 @@ def cycle_diff23(n: int) -> CycleWitness:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if n == 5:
-        return certify(CycleWitness(Interval(1, 5), (1, 4, 2, 5, 3)), allowed_diffs={2, 3})
-    if n < 10:
+    if n < 10 and n != 5:
         raise Infeasible(f"no {{2, 3}}-difference Hamilton cycle at order {n}", n=n)
-    # Glue two difference-{2,3} paths: one on [1, h+1] from h+1 to h, one on
-    # [h, n] from n down to n-1 complemented to run h -> h+1; the junction
-    # differences are |h+1 - h| mates already inside the two sequences, and
-    # the seam edges are h+1..(second path start) and (second path end)..h+1.
-    # The halves are checked once, as part of the whole cycle.
-    h = n // 2
-    a_part = _seq_diff23(h + 1)
-    b_part = complement_seq(_seq_diff23(n - h + 1), 1, n)  # h -> h+1 on [h, n]
-    return certify(CycleWitness(Interval(1, n), a_part + b_part[1:-1]), allowed_diffs={2, 3})
+    return certify(CycleWitness(Interval(1, n), _seq_cycle23(n)), allowed_diffs={2, 3})
+
+
+def _seq_two_primes(n: int, p: int) -> tuple[int, ...]:
+    """The unchecked sequence of `cycle_two_primes(n, (p, n - p))`: +p modulo n.
+
+    Already canonical as built: it starts at 1, and its second vertex p + 1
+    is below its last, (n - 1)p mod n + 1 = n - p + 1.
+    """
+    return tuple((i * p) % n + 1 for i in range(n))
 
 
 def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
@@ -73,40 +86,36 @@ def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
         raise ValueError(f"{p} + {q} != {n}")
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"({p}, {q}) is not a prime pair")
-    # Already canonical as built: it starts at 1, and its second vertex p + 1
-    # is below its last, (n - 1)p mod n + 1 = q + 1.
-    seq = tuple((i * p) % n + 1 for i in range(n))
-    return certify(CycleWitness(Interval(1, n), seq), allowed_diffs={p, q})
+    return certify(CycleWitness(Interval(1, n), _seq_two_primes(n, p)), allowed_diffs={p, q})
 
 
 def edge_disjoint_cycles(n: int) -> DisjointFamily:
     """A family of pairwise edge-disjoint Hamilton cycles of [1, n] (n >= 5).
 
     Takes one cycle per prime-pair decomposition of n, plus the {2, 3} cycle
-    when it exists and collides with at most one pair (dropping that pair:
-    the swap never shrinks the family).  Falls back to a single generic
-    Hamilton cycle when no decomposition exists and n < 10.
+    wherever it exists (n = 5 or n >= 10), in place of the pair containing 2
+    or 3 if there is one.  There is at most one: two would make n - 2 and
+    n - 3 both prime, so n = 5, whose one pair is (2, 3).  Falls back to a
+    single generic Hamilton cycle when neither exists (n = 6).  The members
+    are certified once, as part of the family.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
-    pairs = prime_pair_decompositions(n)
+    interval = Interval(1, n)
+    use_23 = n == 5 or n >= 10
     cycles: list[CycleWitness] = []
     sources: list[str] = []
-
-    conflicted = [pr for pr in pairs if 2 in pr or 3 in pr]
-    use_23 = (n == 5 or n >= 10) and len(conflicted) <= 1
-    kept = [pr for pr in pairs if not (use_23 and pr in conflicted)]
-
-    for p, q in kept:
-        cycles.append(cycle_two_primes(n, (p, q)))
-        sources.append(f"pair:{p},{q}")
+    for p, q in prime_pair_decompositions(n):
+        if not (use_23 and p in (2, 3)):
+            cycles.append(CycleWitness(interval, _seq_two_primes(n, p)))
+            sources.append(f"pair:{p},{q}")
     if use_23:
-        cycles.append(cycle_diff23(n))
+        cycles.append(CycleWitness(interval, _seq_cycle23(n)))
         sources.append("diff23")
     if not cycles:
         cycles.append(hamilton_cycle(n))
         sources.append("fallback")
-    return certify(DisjointFamily(Interval(1, n), tuple(cycles), tuple(sources)))
+    return certify(DisjointFamily(interval, tuple(cycles), tuple(sources)))
 
 
 def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointFamily]:
@@ -115,7 +124,8 @@ def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointF
     Pairs the ends of a 2t-term arithmetic progression of primes: each of
     the t symmetric pairs sums to the same n, giving t two-prime cycles with
     pairwise disjoint difference sets.  Both the first term and the common
-    difference of the progression are searched up to search_limit.
+    difference of the progression are searched up to search_limit.  The
+    members are certified once, as part of the family.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -125,10 +135,7 @@ def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointF
             f"no {2 * t}-term prime progression with first term and difference at most {search_limit}"
         )
     n = ap[0] + ap[-1]
-    cycles: list[CycleWitness] = []
-    sources: list[str] = []
-    for i in range(t):
-        p, q = ap[i], ap[2 * t - 1 - i]
-        cycles.append(cycle_two_primes(n, (p, q)))
-        sources.append(f"pair:{p},{q}")
-    return n, certify(DisjointFamily(Interval(1, n), tuple(cycles), tuple(sources)))
+    interval = Interval(1, n)
+    cycles = tuple(CycleWitness(interval, _seq_two_primes(n, ap[i])) for i in range(t))
+    sources = tuple(f"pair:{ap[i]},{ap[2 * t - 1 - i]}" for i in range(t))
+    return n, certify(DisjointFamily(interval, cycles, sources))

@@ -240,6 +240,11 @@ def verify(w, **claims) -> Verdict:
     if isinstance(w, TwoFactorWitness):
         return verify_two_factor(w, **claims)
     if isinstance(w, DisjointFamily):
+        # Every member a Hamilton cycle of the family's interval, then no shared edge.
+        for idx, c in enumerate(w.cycles):
+            v = _verify_seq(c, True) if c.interval == w.interval else _fail(NOT_PERMUTATION)
+            if not v:
+                return _fail(v.reason, cycle=idx, **(v.detail or {}))
         return verify_edge_disjoint(w.cycles, **claims)
     raise TypeError(f"not a witness: {type(w).__name__}")
 

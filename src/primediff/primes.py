@@ -81,7 +81,13 @@ def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] |
 
     Wheel: every prime l <= k below the first term divides the difference,
     since otherwise some term would be a multiple of l larger than l; so the
-    difference steps by the product of those primes.
+    difference steps by the product of those primes.  Every prime l < k
+    divides the difference d whatever the first term a: were a = l, term l
+    would be a larger multiple of l; were a < l for the least l that does
+    not divide d, the one multiple of l among the terms would be l itself,
+    so l >= a + d >= 2 + (product of the primes below l) > l.  So once the
+    product of the primes below k passes the limit the box is empty, and
+    the sieve is not grown for it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -91,6 +97,12 @@ def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] |
         return None
     if k == 1:
         return (2,)
+    wheel = 1
+    for p in range(2, k):
+        if is_prime(p):
+            wheel *= p
+            if wheel > search_limit:
+                return None
     _ensure(search_limit * k)
     flags = _flags
     small = [p for p in range(2, k + 1) if flags[p]]

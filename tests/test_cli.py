@@ -1,11 +1,13 @@
 """CLI surface: outputs, exit codes, JSON stability, verify round-trips."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
 from primediff.cli import run
+from primediff.graphs import NOT_PERMUTATION, Verdict
 
 
 def invoke(capsys, *argv):
@@ -117,6 +119,8 @@ def test_ap_command(capsys):
         "detail": {"message": "no 6-term prime progression with first term and difference at most 20"},
     }
     code, out, err = invoke(capsys, "ap", "12")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "not_found"
+    code, out, err = invoke(capsys, "ap", "200000")  # ruled out before any sieve is built
     assert code == 1 and out == "" and json.loads(err)["error"] == "not_found"
 
 
@@ -274,6 +278,42 @@ PINNED_SWEEP = [
     (("verify",), '{"kind":"two_factor","lo":1,"hi":7,"sequences":[[1,3,6],[2,4,5,7]]}', 1,
      "violation: NonPrimeDifference\n",
      '{"detail":{"cycle":1,"difference":1,"position":1},"error":"NonPrimeDifference"}\n'),
+    (("two-prime", "16"), None, 0,
+     "1 4 7 10 13 16 3 6 9 12 15 2 5 8 11 14\n1 6 11 16 5 10 15 4 9 14 3 8 13 2 7 12\n", ""),
+    (("two-prime", "16", "--json"), None, 0,
+     '{"ok":true,"witnesses":[{"hi":16,"kind":"cycle","lo":1,"sequences":[[1,4,7,10,13,16,3,6,9,12,15,2,5,8,11,14]]},'
+     '{"hi":16,"kind":"cycle","lo":1,"sequences":[[1,6,11,16,5,10,15,4,9,14,3,8,13,2,7,12]]}]}\n', ""),
+    (("two-prime", "9", "--pair", "2,7", "--json"), None, 0,
+     '{"hi":9,"kind":"cycle","lo":1,"ok":true,"sequences":[[1,3,5,7,9,2,4,6,8]]}\n', ""),
+    (("disjoint", "20"), None, 0,
+     "1 8 15 2 9 16 3 10 17 4 11 18 5 12 19 6 13 20 7 14\n11 9 7 5 2 4 1 3 6 8 10 12 14 16 19 17 20 18 15 13\n", ""),
+    (("disjoint", "20", "--json"), None, 0,
+     '{"ok":true,"sources":["pair:7,13","diff23"],"witnesses":['
+     '{"hi":20,"kind":"cycle","lo":1,"sequences":[[1,8,15,2,9,16,3,10,17,4,11,18,5,12,19,6,13,20,7,14]]},'
+     '{"hi":20,"kind":"cycle","lo":1,"sequences":[[11,9,7,5,2,4,1,3,6,8,10,12,14,16,19,17,20,18,15,13]]}]}\n', ""),
+    (("ap", "6"), None, 0, "7 37 67 97 127 157\n", ""),
+    (("ap", "6", "--json"), None, 0, '{"ok":true,"progression":[7,37,67,97,127,157]}\n', ""),
+    (("ap", "12"), None, 1, "",
+     '{"detail":{"message":"no 12-term prime progression with first term and difference at most 10000"},'
+     '"error":"not_found"}\n'),
+    (("exceptions", "8"), None, 0, "(4,5)\n", ""),
+    (("exceptions", "8", "--json"), None, 0, '{"ok":true,"pairs":[[4,5]]}\n', ""),
+    (("exceptions", "9"), None, 0, "", ""),
+    (("exceptions", "7", "--oracle", "--json"), None, 0, '{"ok":true,"pairs":[[3,4],[4,5]]}\n', ""),
+    (("oracle-path", "12", "3", "4", "--json"), None, 0,
+     '{"hi":12,"kind":"path","lo":1,"ok":true,"sequences":[[3,1,6,8,5,2,7,10,12,9,11,4]]}\n', ""),
+    (("oracle-path", "8", "4", "5"), None, 1, "",
+     '{"detail":{"endpoints":[4,5],"message":"no Hamilton path between 4 and 5 at order 8","n":8},'
+     '"error":"infeasible"}\n'),
+    (("cycle", "9", "--through", "1,5"), None, 1, "",
+     '{"detail":{"message":"|1 - 5| = 4 is not prime"},"error":"non_edge"}\n'),
+    (("oracle-path", "23", "1", "2"), None, 1, "",
+     '{"detail":{"cap":22,"message":"order 23 exceeds brute-force cap 22","order":23},'
+     '"error":"order_cap_exceeded"}\n'),
+    (("path", "4", "1", "2"), None, 2, "",
+     '{"detail":{"message":"order 4 below the supported range (n >= 5)"},"error":"usage"}\n'),
+    (("path", "9", "1", "2"), "fail-self-checks", 1, "",
+     '{"detail":{"message":"PathWitness self-check failed: NotPermutation None"},"error":"construction_error"}\n'),
 ]
 
 
@@ -281,6 +321,23 @@ PINNED_SWEEP = [
     "argv, stdin, code, out, err", PINNED_SWEEP, ids=[" ".join(case[0]) for case in PINNED_SWEEP]
 )
 def test_pinned_sweep(argv, stdin, code, out, err, capsys, monkeypatch):
-    if stdin is not None:
+    """`stdin` is the text fed to the command, or "fail-self-checks" to make
+    every constructor's self-check reject its witness.  The oracle runs at
+    its default cap."""
+    monkeypatch.delenv("ORACLE_MAX_ORDER", raising=False)
+    if stdin == "fail-self-checks":
+        monkeypatch.setattr("primediff.graphs.verify", lambda w, **claims: Verdict(False, NOT_PERMUTATION))
+    elif stdin is not None:
         feed(monkeypatch, stdin)
     assert invoke(capsys, *argv) == (code, out, err)
+
+
+def test_disjoint_output_is_pinned(capsys):
+    """SHA-256 of the concatenated `disjoint n --json` stdout, odd and even n apart."""
+    digests = {0: hashlib.sha256(), 1: hashlib.sha256()}
+    for n in [*range(5, 601), 999, 1000, 2999, 3000]:
+        code, out, err = invoke(capsys, "disjoint", str(n), "--json")
+        assert (code, err) == (0, "")
+        digests[n % 2].update(out.encode())
+    assert digests[1].hexdigest() == "6bdba93a8afc643acff33a931ea50cffc295c0d2beaf41067edc1e581e3b348e"
+    assert digests[0].hexdigest() == "8d73def480e3e70749a1ff7505f8a5832c33dde541437b4435be55e78cfcd706"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +107,17 @@ def test_progression_exhaustion_and_validation():
         prime_arithmetic_progression(0, 100)
     with pytest.raises(ValueError, match="-5"):
         prime_arithmetic_progression(3, -5)
+
+
+def test_progression_ruled_out_before_the_sieve_grows():
+    # Every prime below k divides the difference, and 2*3*5*7*11*13 > 10_000.
+    tracemalloc.start()
+    try:
+        assert prime_arithmetic_progression(200_000, 10_000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=300))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primediff.errors import ConstructionError
 from primediff.graphs import (
     DISALLOWED_DIFFERENCE,
     MISSING_REQUIRED_EDGE,
@@ -15,12 +16,15 @@ from primediff.graphs import (
     WRONG_ENDPOINTS,
     WRONG_LENGTH_MULTISET,
     CycleWitness,
+    DisjointFamily,
     Interval,
     PathWitness,
     TwoFactorWitness,
     adjacent,
     canonical_cycle,
+    certify,
     cycle_edges,
+    verify,
     verify_cycle,
     verify_edge_disjoint,
     verify_path,
@@ -132,6 +136,29 @@ def test_edge_disjoint():
     # the interval check comes before any shared edge
     with pytest.raises(ValueError):
         verify_edge_disjoint([a, a, other])
+
+
+
+@pytest.mark.parametrize(
+    "member",
+    [CycleWitness(Interval(1, 6), (1, 2, 3)), CycleWitness(Interval(1, 5), (1, 3, 5, 2, 4))],
+    ids=["not-hamilton", "other-interval"],
+)
+def test_family_certify_checks_every_member(member):
+    fam = DisjointFamily(Interval(1, 6), (member,), ("x",))
+    v = verify(fam)
+    assert (v.ok, v.reason, v.detail) == (False, NOT_PERMUTATION, {"cycle": 0})
+    with pytest.raises(ConstructionError):
+        certify(fam)
+
+
+def test_family_member_checks_come_before_shared_edges():
+    good = CycleWitness(Interval(1, 6), (1, 3, 5, 2, 4, 6))
+    bad = CycleWitness(Interval(1, 6), (1, 3, 5, 4, 2, 6))
+    v = verify(DisjointFamily(Interval(1, 6), (good, good, bad), ("a", "b", "c")))
+    assert (v.reason, v.detail) == (NON_PRIME_DIFFERENCE, {"cycle": 2, "position": 2, "difference": 1})
+    v = verify(DisjointFamily(Interval(1, 6), (good, good), ("a", "b")))
+    assert (v.reason, v.detail["cycles"]) == (SHARED_EDGE, (0, 1))
 
 
 SHARED_EDGE_CASES = [
