@@ -123,13 +123,15 @@ def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointF
 
     Pairs the ends of a 2t-term arithmetic progression of primes: each of
     the t symmetric pairs sums to the same n, giving t two-prime cycles with
-    pairwise disjoint difference sets.  Both the first term and the common
-    difference of the progression are searched up to search_limit.  The
-    members are certified once, as part of the family.
+    pairwise disjoint difference sets.  The n returned is the smallest such
+    sum of first and last terms over the progressions whose first term and
+    common difference are both at most search_limit; ties go to the smaller
+    first term.  It is not claimed to be the smallest order with t disjoint
+    cycles.  The members are certified once, as part of the family.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    ap = prime_arithmetic_progression(2 * t, search_limit)
+    ap = prime_arithmetic_progression(2 * t, search_limit, least_end_sum=True)
     if ap is None:
         raise NotFound(
             f"no {2 * t}-term prime progression with first term and difference at most {search_limit}"

@@ -9,7 +9,10 @@ before returning it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import sub
 
 from . import primes
 from .errors import ConstructionError
@@ -116,26 +119,46 @@ def _fail(reason: str, **detail) -> Verdict:
     return Verdict(False, reason, detail or None)
 
 
-def _walk(seq, lo: int, hi: int, closed: bool, allowed) -> Verdict:
-    """The one pass over a witness's steps, wrapping around when closed.
+def _covers(seqs, lo: int, hi: int) -> bool:
+    """Whether `seqs` together hold each vertex of [lo, hi] exactly once.
+
+    Once the count and the range are right, one byte per vertex decides: the
+    vertices are distinct exactly when they mark every byte of the interval.
+    """
+    if sum(map(len, seqs)) != hi - lo + 1 or not all(s and lo <= min(s) and max(s) <= hi for s in seqs):
+        return False
+    mark = bytearray(hi - lo + 1)
+    for s in seqs:
+        for v in s:
+            mark[v - lo] = 1
+    return mark.find(0) < 0
+
+
+def _steps(seq, closed: bool):
+    """Signed differences of consecutive vertices, wrapping around when closed."""
+    steps = map(sub, islice(seq, 1, None), seq)
+    return chain(steps, (seq[0] - seq[-1],)) if closed else steps
+
+
+def _walk(seqs, lo: int, hi: int, closed: bool, allowed, per_cycle: bool = False) -> Verdict:
+    """The one check of a witness's steps, wrapping around each sequence when closed.
 
     Callers have already checked the vertex set, so every difference is at
-    most hi - lo.  The loop reads one table: the shared prime bitmap, or its
-    restriction to `allowed`; which rule a step broke is decided only after
-    the first miss.
+    most hi - lo.  Each distinct difference is looked up once, in the shared
+    prime bitmap and in `allowed`; only when one misses are the steps walked
+    in order, to name the first miss and the rule it broke.
     """
     flags = primes.prime_flags(hi - lo)
-    ok = flags
-    if allowed is not None:
-        ok = bytearray(hi - lo + 1)
-        for d in allowed:
-            if 0 <= d <= hi - lo:
-                ok[d] = flags[d]
-    for i, (a, b) in enumerate(zip(seq, seq[1:] + seq[:1] if closed else seq[1:])):
-        if not ok[abs(b - a)]:
-            d = abs(b - a)
-            reason = DISALLOWED_DIFFERENCE if flags[d] else NON_PRIME_DIFFERENCE
-            return _fail(reason, position=i, difference=d)
+    distinct: set[int] = set()
+    for seq in seqs:
+        distinct.update(_steps(seq, closed))
+    misses = {d for d in map(abs, distinct) if not flags[d] or (allowed is not None and d not in allowed)}
+    if misses:
+        for idx, seq in enumerate(seqs):
+            for i, d in enumerate(map(abs, _steps(seq, closed))):
+                if d in misses:
+                    reason = DISALLOWED_DIFFERENCE if flags[d] else NON_PRIME_DIFFERENCE
+                    return _fail(reason, **({"cycle": idx} if per_cycle else {}), position=i, difference=d)
     return OK
 
 
@@ -143,20 +166,20 @@ def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, al
     """Path (closed: cycle) checks, in the order their violations take precedence."""
     seq = w.sequence
     lo, hi = w.interval.lo, w.interval.hi
-    n = hi - lo + 1
-    if len(seq) != n or len(set(seq)) != n or min(seq) != lo or max(seq) != hi:
+    if not _covers((seq,), lo, hi):
         return _fail(NOT_PERMUTATION)
     if closed and len(seq) < 3:
         return _fail(SHORT_CYCLE, length=len(seq))
-    v = _walk(seq, lo, hi, closed, allowed_diffs)
+    v = _walk((seq,), lo, hi, closed, allowed_diffs)
     if not v:
         return v
     if expected_endpoints is not None and (seq[0], seq[-1]) != tuple(expected_endpoints):
         return _fail(WRONG_ENDPOINTS, expected=tuple(expected_endpoints), actual=(seq[0], seq[-1]))
     if required_edge is not None:
-        # Look the edge up at its lower end instead of building every edge.
+        # One scan, for the edge's lower end: seq is a permutation of the
+        # interval, so the range tells whether the end is in it.
         e = tuple(sorted(frozenset(required_edge)))
-        i = seq.index(e[0]) if len(e) == 2 and e[0] in seq else None
+        i = seq.index(e[0]) if len(e) == 2 and e[0] in w.interval.vertices() else None
         if i is None or e[1] not in (seq[i - 1], seq[(i + 1) % len(seq)]):
             return _fail(MISSING_REQUIRED_EDGE, edge=e)
     return OK
@@ -179,20 +202,20 @@ def verify_cycle(
 def verify_two_factor(w: TwoFactorWitness, expected_lengths=None) -> Verdict:
     """Disjoint prime-difference cycles of length >= 3 covering the interval."""
     lo, hi = w.interval.lo, w.interval.hi
-    seen: set[int] = set()
-    for idx, cyc in enumerate(w.cycles):
-        if len(cyc) < 3:
-            return _fail(SHORT_CYCLE, cycle=idx, length=len(cyc))
-        s = set(cyc)
-        if len(s) != len(cyc) or not s.isdisjoint(seen):
-            return _fail(NOT_PARTITION, cycle=idx)
-        seen |= s
-    if len(seen) != hi - lo + 1 or (seen and (min(seen) != lo or max(seen) != hi)):
+    if not (all(len(c) >= 3 for c in w.cycles) and _covers(w.cycles, lo, hi)):
+        # Scan again to name the first violation, cycle by cycle.
+        seen: set[int] = set()
+        for idx, cyc in enumerate(w.cycles):
+            if len(cyc) < 3:
+                return _fail(SHORT_CYCLE, cycle=idx, length=len(cyc))
+            s = set(cyc)
+            if len(s) != len(cyc) or not s.isdisjoint(seen):
+                return _fail(NOT_PARTITION, cycle=idx)
+            seen |= s
         return _fail(NOT_PARTITION)
-    for idx, cyc in enumerate(w.cycles):
-        v = _walk(cyc, lo, hi, True, None)
-        if not v:
-            return _fail(v.reason, cycle=idx, **v.detail)
+    v = _walk(w.cycles, lo, hi, True, None, per_cycle=True)
+    if not v:
+        return v
     if expected_lengths is not None:
         want = tuple(sorted(expected_lengths))
         got = w.lengths
@@ -229,23 +252,45 @@ def verify_edge_disjoint(cycles) -> Verdict:
     return OK
 
 
+def _source_class(source: str) -> frozenset | None:
+    """The differences a family member's source confines it to, if it names any."""
+    m = re.fullmatch(r"pair:(\d+),(\d+)", source)
+    return frozenset(map(int, m.groups())) if m else frozenset({2, 3}) if source == "diff23" else None
+
+
+def _verify_family(w: DisjointFamily) -> Verdict:
+    """Every member a Hamilton cycle of the family's interval, then no shared edge.
+
+    Members that stay inside pairwise disjoint difference classes, named by
+    their sources, share no edge: the one difference of a shared edge would
+    lie in two classes.  Any other family goes to verify_edge_disjoint's keys.
+    """
+    classes = [_source_class(s) for s in w.sources] if len(w.sources) == len(w.cycles) else [None]
+    certified = None not in classes and sum(map(len, classes)) == len(frozenset().union(*classes))
+    for idx, c in enumerate(w.cycles):
+        if c.interval != w.interval:
+            return _fail(NOT_PERMUTATION, cycle=idx)
+        v = _verify_seq(c, True, allowed_diffs=classes[idx] if certified else None)
+        if v.reason == DISALLOWED_DIFFERENCE:  # it leaves its class: check it plainly
+            certified = False
+            v = _verify_seq(c, True)
+        if not v:
+            return _fail(v.reason, cycle=idx, **(v.detail or {}))
+    return OK if certified else verify_edge_disjoint(w.cycles)
+
+
 def verify(w, **claims) -> Verdict:
     """Check any witness with the verifier of its type.
 
     `claims` are that verifier's keyword arguments; a path also accepts
-    `allowed_diffs`, as a cycle does.
+    `allowed_diffs`, as a cycle does.  A family takes none.
     """
     if isinstance(w, (PathWitness, CycleWitness)):
         return _verify_seq(w, isinstance(w, CycleWitness), **claims)
     if isinstance(w, TwoFactorWitness):
         return verify_two_factor(w, **claims)
     if isinstance(w, DisjointFamily):
-        # Every member a Hamilton cycle of the family's interval, then no shared edge.
-        for idx, c in enumerate(w.cycles):
-            v = _verify_seq(c, True) if c.interval == w.interval else _fail(NOT_PERMUTATION)
-            if not v:
-                return _fail(v.reason, cycle=idx, **(v.detail or {}))
-        return verify_edge_disjoint(w.cycles, **claims)
+        return _verify_family(w, **claims)
     raise TypeError(f"not a witness: {type(w).__name__}")
 
 

@@ -70,14 +70,18 @@ def prime_pair_decompositions(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] | None:
+def prime_arithmetic_progression(
+    k: int, search_limit: int, *, least_end_sum: bool = False
+) -> tuple[int, ...] | None:
     """Smallest k-term progression of primes with positive common difference.
 
-    "Smallest" means lexicographically by (first term, difference).  Both the
-    first term and the difference are capped by `search_limit`; term values may
-    reach first + (k-1)*difference, and the sieve grows to cover them.  Returns
-    None when the search box is exhausted (limits 0 and 1 give an empty box);
-    a negative limit is a ValueError.
+    "Smallest" means lexicographically by (first term, difference); with
+    `least_end_sum`, it means the least sum of the first and last terms, ties
+    going to the lexicographically smaller.  Both the first term and the
+    difference are capped by `search_limit`; term values may reach
+    first + (k-1)*difference, and the sieve grows to cover them.  Returns None
+    when the search box is exhausted (limits 0 and 1 give an empty box); a
+    negative limit is a ValueError.
 
     Wheel: every prime l <= k below the first term divides the difference,
     since otherwise some term would be a multiple of l larger than l; so the
@@ -106,11 +110,19 @@ def prime_arithmetic_progression(k: int, search_limit: int) -> tuple[int, ...] |
     _ensure(search_limit * k)
     flags = _flags
     small = [p for p in range(2, k + 1) if flags[p]]
+    best = None
     for first in range(2, search_limit + 1):
+        # Once one is found, only differences that give a smaller end sum.
+        top = search_limit if best is None else min(search_limit, (best[0] + best[-1] - 2 * first - 1) // (k - 1))
+        if top < 1:
+            break
         if not flags[first]:
             continue
         step = prod(p for p in small if p < first)
-        for d in range(step, search_limit + 1, step):
+        for d in range(step, top + 1, step):
             if all(flags[first + j * d] for j in range(1, k)):
-                return tuple(first + j * d for j in range(k))
-    return None
+                best = tuple(first + j * d for j in range(k))
+                if not least_end_sum:
+                    return best
+                break
+    return best

@@ -119,6 +119,11 @@ def test_n_for_t_disjoint_goldens():
     n3, f3 = n_for_t_disjoint(3)
     assert (n3, len(f3)) == (164, 3)
     assert verify_edge_disjoint(f3.cycles)
+    # The least end sum, not the lexicographically first progression (n = 48,544).
+    n4, f4 = n_for_t_disjoint(4)
+    assert (n4, f4.sources) == (1868, ("pair:199,1669", "pair:409,1459", "pair:619,1249", "pair:829,1039"))
+    n5, f5 = n_for_t_disjoint(5)
+    assert (n5, len(f5)) == (2288, 5)
 
 
 def test_n_for_t_disjoint_failure_modes():

@@ -100,6 +100,26 @@ def test_progression_wheel_matches_naive_scan(k):
         assert prime_arithmetic_progression(k, limit) == naive_progression(k, limit)
 
 
+def naive_least_end_sum(k: int, limit: int):
+    """Every progression in the box, then the least (first + last, first)."""
+    found = [
+        (2 * a + (k - 1) * d, a, d)
+        for a in range(2, limit + 1)
+        for d in range(1, limit + 1)
+        if all(is_prime(a + j * d) for j in range(k))
+    ]
+    if not found:
+        return None
+    _, a, d = min(found)
+    return tuple(a + j * d for j in range(k))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_progression_least_end_sum_matches_naive_scan(k):
+    for limit in (30, 200):
+        assert prime_arithmetic_progression(k, limit, least_end_sum=True) == naive_least_end_sum(k, limit)
+
+
 def test_progression_exhaustion_and_validation():
     assert prime_arithmetic_progression(6, 20) is None
     assert prime_arithmetic_progression(2, 1) is None
