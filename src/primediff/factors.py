@@ -8,6 +8,8 @@ else is left, a 3 paired with a 4 or with the smallest long part, a pair of
 4s, a 4 with the smallest long part, or a long part alone as a Hamilton
 cycle.  The pairings come from `_BLOCKS` when it holds them, else from a
 generic formula, and no step strands a remainder with no block of its own.
+Each piece is built in place at its offset k, as `_path_1m(n, m, k)` is;
+only the `_BLOCKS` rows, stored on [1, size], are shifted as they are read.
 """
 
 from __future__ import annotations
@@ -48,22 +50,28 @@ _BLOCKS: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
 _KEY_PARTS = max(map(len, _BLOCKS))  # longer remainders skip the lookup
 
 
-def _c3_with(big: int) -> tuple[tuple[int, ...], ...]:
-    """{3, big} on [1, 3 + big], big >= 9."""
+def _block(key: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...] | None:
+    """_BLOCKS[key] shifted onto [k+1, k+sum(key)], or None if it has no row."""
+    block = _BLOCKS.get(key)
+    return block and tuple(shift_seq(c, k) for c in block)
+
+
+def _c3_with(big: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """{3, big} on [k+1, k+3+big], big >= 9."""
     # Triangle on {1, 3, 6}; the long cycle threads the rest via a 7 -> 8
     # Hamilton path of [7, 3 + big] closed through 5 and wrapped back to 2
     # and 4 (differences 2, 3, and 8 - 5 = 3).
-    return ((1, 3, 6), (5, 2, 4) + _path_1m(big - 3, 2, 6))
+    return ((k + 1, k + 3, k + 6), (k + 5, k + 2, k + 4) + _path_1m(big - 3, 2, k + 6))
 
 
-def _c4_with(big: int) -> tuple[tuple[int, ...], ...]:
-    """{4, big} on [1, 4 + big], big >= 9."""
-    return ((2, 5, 7, 4), (6, 1, 3) + _path_1m(big - 3, 2, 7))
+def _c4_with(big: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """{4, big} on [k+1, k+4+big], big >= 9."""
+    return ((k + 2, k + 5, k + 7, k + 4), (k + 6, k + 1, k + 3) + _path_1m(big - 3, 2, k + 7))
 
 
-def _two_c3_with(big: int) -> tuple[tuple[int, ...], ...]:
-    """{3, 3, big} on [1, 6 + big], big >= 6."""
-    return ((1, 3, 6), (2, 4, 7), (5,) + _path_1m(big - 1, 3, 7))
+def _two_c3_with(big: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """{3, 3, big} on [k+1, k+6+big], big >= 6."""
+    return ((k + 1, k + 3, k + 6), (k + 2, k + 4, k + 7), (k + 5,) + _path_1m(big - 1, 3, k + 7))
 
 
 # ---------------------------------------------------------------------------
@@ -111,54 +119,51 @@ def _realize(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     big = list(reversed(parts[threes + fours :]))  # long parts, smallest last
 
     cycles: list[tuple[int, ...]] = []
-    lo = 1
+    k = 0  # vertices placed so far: the next piece starts at k + 1
 
-    def place(block: Iterable[tuple[int, ...]]) -> None:
-        """Shift a block built on [1, size] up to start at lo."""
-        nonlocal lo
-        shift = lo - 1
-        for cyc in block:
-            cycles.append(shift_seq(cyc, shift))
-            lo += len(cyc)
+    def place(block: tuple[tuple[int, ...], ...]) -> None:
+        nonlocal k
+        cycles.extend(block)
+        k += sum(map(len, block))
 
     while threes or fours or big:
         if threes + fours + len(big) <= _KEY_PARTS:
-            block = _BLOCKS.get((3,) * threes + (4,) * fours + tuple(reversed(big)))
+            block = _block((3,) * threes + (4,) * fours + tuple(reversed(big)), k)
             if block:
                 place(block)
                 break
         if threes and fours:
-            place(_BLOCKS[3, 4])
+            place(_block((3, 4), k))
             threes -= 1
             fours -= 1
         elif threes and not big:
             take = 4 if threes % 3 else 3
-            place(_BLOCKS[(3,) * take])
+            place(_block((3,) * take, k))
             threes -= take
         # Two or three 3s beside one long part end here: pairing a 3 with
         # the long part would strand the others.
         elif threes == 2 and len(big) == 1:
-            place(_two_c3_with(big.pop()))
+            place(_two_c3_with(big.pop(), k))
             threes = 0
         elif threes == 3 and len(big) == 1:
-            place(_BLOCKS[3, 3, 3])
+            place(_block((3, 3, 3), k))
             threes = 0
         elif threes:
             x = big.pop()
-            place(_BLOCKS.get((3, x)) or _c3_with(x))
+            place(_block((3, x), k) or _c3_with(x, k))
             threes -= 1
         elif fours >= 2:
-            place(_BLOCKS[4, 4])
+            place(_block((4, 4), k))
             fours -= 2
         elif fours:
             # A lone 4 has a long part for company: a sum of 4 is no order.
             x = big.pop()
-            place(_BLOCKS.get((4, x)) or _c4_with(x))
+            place(_block((4, x), k) or _c4_with(x, k))
             fours = 0
         else:
             # Each long part spans its own subinterval, a 1 -> 4 Hamilton
             # path closed by the difference 3.
-            place((_path_1m(big.pop(), 4),))
+            place((_path_1m(big.pop(), 4, k),))
     return cycles
 
 

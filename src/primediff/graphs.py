@@ -9,7 +9,7 @@ before returning it.
 
 from __future__ import annotations
 
-import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import sub
@@ -90,7 +90,9 @@ class TwoFactorWitness:
 
 @dataclass(frozen=True)
 class DisjointFamily:
-    """Pairwise edge-disjoint Hamilton cycles of one interval."""
+    """Pairwise edge-disjoint Hamilton cycles of one interval.
+
+    `sources` label how each member was built, for output; no check reads them."""
 
     interval: Interval
     cycles: tuple[CycleWitness, ...]
@@ -227,19 +229,27 @@ def verify_two_factor(w: TwoFactorWitness, expected_lengths=None) -> Verdict:
 def verify_edge_disjoint(cycles) -> Verdict:
     """No edge used by two of the given cycles (all over one interval).
 
-    Edge {u <= v} is the one int u*w + v, w above the spread of all vertices:
-    O(total edges) time, one int per edge, distinct keys for any vertices."""
+    A shared edge has one difference, which both of its cycles use, so only
+    edges whose |difference| two cycles share can collide.  Those edges
+    alone are keyed, edge {u <= v} as the one int u*w + v, w above the
+    spread of all vertices; cycles with pairwise disjoint differences are
+    accepted with no key at all."""
     cycles = list(cycles)
     if len({(c.interval.lo, c.interval.hi) for c in cycles}) > 1:
         raise ValueError("cycles must share one interval")
     seqs = [c.sequence for c in cycles if c.sequence]
     if len(seqs) < 2:
         return OK
+    uses = Counter(chain.from_iterable(set(map(abs, set(_steps(seq, True)))) for seq in seqs))
+    shared = {d for d, count in uses.items() if count > 1}
+    if not shared:
+        return OK
     w = max(map(max, seqs)) - min(map(min, seqs)) + 1
     seen: set[int] = set()
     for idx, c in enumerate(cycles):
         seq = c.sequence
-        keys = {u * w + v if u <= v else v * w + u for u, v in zip(seq, seq[1:] + seq[:1])}
+        pairs = zip(seq, seq[1:] + seq[:1])
+        keys = {u * w + v if u <= v else v * w + u for u, v in pairs if abs(u - v) in shared}
         if seen.isdisjoint(keys):
             seen |= keys
             continue
@@ -252,31 +262,13 @@ def verify_edge_disjoint(cycles) -> Verdict:
     return OK
 
 
-def _source_class(source: str) -> frozenset | None:
-    """The differences a family member's source confines it to, if it names any."""
-    m = re.fullmatch(r"pair:(\d+),(\d+)", source)
-    return frozenset(map(int, m.groups())) if m else frozenset({2, 3}) if source == "diff23" else None
-
-
 def _verify_family(w: DisjointFamily) -> Verdict:
-    """Every member a Hamilton cycle of the family's interval, then no shared edge.
-
-    Members that stay inside pairwise disjoint difference classes, named by
-    their sources, share no edge: the one difference of a shared edge would
-    lie in two classes.  Any other family goes to verify_edge_disjoint's keys.
-    """
-    classes = [_source_class(s) for s in w.sources] if len(w.sources) == len(w.cycles) else [None]
-    certified = None not in classes and sum(map(len, classes)) == len(frozenset().union(*classes))
+    """Every member a Hamilton cycle of the family's interval, then no shared edge."""
     for idx, c in enumerate(w.cycles):
-        if c.interval != w.interval:
-            return _fail(NOT_PERMUTATION, cycle=idx)
-        v = _verify_seq(c, True, allowed_diffs=classes[idx] if certified else None)
-        if v.reason == DISALLOWED_DIFFERENCE:  # it leaves its class: check it plainly
-            certified = False
-            v = _verify_seq(c, True)
+        v = _verify_seq(c, True) if c.interval == w.interval else _fail(NOT_PERMUTATION)
         if not v:
             return _fail(v.reason, cycle=idx, **(v.detail or {}))
-    return OK if certified else verify_edge_disjoint(w.cycles)
+    return verify_edge_disjoint(w.cycles)
 
 
 def verify(w, **claims) -> Verdict:

@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from primediff.errors import Infeasible
 from primediff.factors import enumerate_specs, two_factor
 from primediff.graphs import verify_two_factor
 from primediff.oracle import brute_two_factor_exists
+from primediff.primes import prime_flags
 
 
 def test_enumerate_specs_goldens():
@@ -116,6 +118,25 @@ def test_realize_is_linear_in_the_part_count():
 
     ratio = best_of_3(100_000) / best_of_3(25_000)
     assert ratio < 6, f"time ratio {ratio:.1f} for 4x the parts"
+
+
+def test_realize_builds_each_piece_in_place():
+    # A spec shaped like perfbench witness-large's: many 3s and 4s, then long
+    # parts.  Each vertex int is made once, at its offset, so the peak stays
+    # near the result's size; a piece built on [1, size] and then shifted
+    # into place would hold each long cycle twice (about 1.8x the result).
+    n = 2 * 10**5
+    spec = (3,) * 303 + (4,) * 300 + (n // 16, n // 8)
+    spec += (n - sum(spec),)
+    prime_flags(n)
+    tracemalloc.start()
+    try:
+        w = two_factor(n, spec)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.interval.order == n
+    assert peak < 1.4 * size, f"peak {peak} bytes for a {size}-byte result"
 
 
 _LARGE_MIXED_SPECS = [

@@ -1,12 +1,13 @@
-"""The verification kernel's memory, and family certificates by difference class.
+"""The verification kernel's memory, and edge keys only where differences meet.
 
 A witness on n vertices is checked with one byte per vertex (the vertex mark)
-plus one int per distinct difference; a family whose sources name pairwise
-disjoint difference classes is certified without a set of its edges.
+plus one int per distinct difference.  Cycles share an edge only if they
+share its difference, so edge-disjointness keys only the edges whose
+difference two cycles use; a family with pairwise disjoint differences is
+accepted with no edge keys at all, whatever its sources say.
 """
 
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -71,20 +72,13 @@ def big():
         ("cycle diff23", lambda w: verify_cycle(w["cycle"], allowed_diffs={2, 3})),
         ("two-factor", lambda w: verify_two_factor(w["two_factor"])),
         ("family", lambda w: verify(w["family"])),
+        ("edge-disjoint", lambda w: verify_edge_disjoint(w["family"].cycles)),
     ],
 )
 def test_verifier_peak_memory(big, name, check):
     verdict, peak = _peak(lambda: check(big))
     assert verdict.ok
     assert peak < BUDGET, f"{name}: {peak} bytes"
-
-
-def test_family_certificate_skips_the_edge_keys(big):
-    fam = big["family"]
-    with mock.patch.object(graphs, "verify_edge_disjoint", wraps=verify_edge_disjoint) as keys:
-        assert verify(fam)
-    assert keys.call_count == 0
-    assert len(fam) == 128 and "diff23" in fam.sources
 
 
 # Families on [1, n] drawn from true members with true or false sources.
@@ -122,38 +116,43 @@ def families(draw):
     return DisjointFamily(Interval(1, n), tuple(c for c, _ in members), tuple(sources))
 
 
-def _class(source):
-    if source == "diff23":
-        return {2, 3}
-    parts = source[5:].split(",") if source.startswith("pair:") else []
-    return {int(p) for p in parts} if len(parts) == 2 and all(p.isdigit() for p in parts) else None
+def _all_edge_keys(cycles):
+    """The reference edge-disjointness check: every edge of every cycle a key."""
+    seqs = [c.sequence for c in cycles if c.sequence]
+    if len(seqs) < 2:
+        return graphs.OK
+    w = max(map(max, seqs)) - min(map(min, seqs)) + 1
+    seen = set()
+    for idx, c in enumerate(cycles):
+        seq = c.sequence
+        keys = {u * w + v if u <= v else v * w + u for u, v in zip(seq, seq[1:] + seq[:1])}
+        if seen.isdisjoint(keys):
+            seen |= keys
+            continue
+        for e in graphs.cycle_edges(seq):
+            edge = tuple(sorted(e))
+            if edge[0] * w + edge[-1] in seen:
+                owner = next(j for j in range(idx) if e in graphs.cycle_edges(cycles[j].sequence))
+                return graphs.Verdict(False, graphs.SHARED_EDGE, {"edge": edge, "cycles": (owner, idx)})
+    return graphs.OK
 
 
-def _key_set_verdict(fam):
-    """The family check without certificates: members, then every edge as a key."""
+def _reference_verdict(fam):
+    """The family check with every edge keyed: members, then the full key set."""
     for idx, c in enumerate(fam.cycles):
         v = verify_cycle(c) if c.interval == fam.interval else graphs.Verdict(False, NOT_PERMUTATION)
         if not v:
-            return (False, v.reason, {"cycle": idx, **(v.detail or {})}), False
-    v = verify_edge_disjoint(fam.cycles)
-    return (v.ok, v.reason, v.detail), True
+            return False, v.reason, {"cycle": idx, **(v.detail or {})}
+    v = _all_edge_keys(fam.cycles)
+    return v.ok, v.reason, v.detail
 
 
 @settings(max_examples=300, deadline=None)
 @given(families())
-def test_class_certificate_agrees_with_edge_keys(fam):
-    expected, members_ok = _key_set_verdict(fam)
-    classes = [_class(s) for s in fam.sources]
-    certified = (
-        members_ok
-        and len(classes) == len(fam.cycles)
-        and None not in classes
-        and sum(map(len, classes)) == len(set().union(*classes))
-        and all(verify_cycle(c, allowed_diffs=k) for c, k in zip(fam.cycles, classes))
-    )
-    with mock.patch.object(graphs, "verify_edge_disjoint", wraps=verify_edge_disjoint) as keys:
-        v = verify(fam)
-    assert (v.ok, v.reason, v.detail) == expected
-    # The edge keys are consulted exactly when every member is a Hamilton
-    # cycle and the certificate does not apply.
-    assert keys.call_count == (members_ok and not certified)
+def test_shared_difference_keys_agree_with_all_edge_keys(fam):
+    v = verify(fam)
+    assert (v.ok, v.reason, v.detail) == _reference_verdict(fam)
+    # Plain lists too, members that are not Hamilton cycles included.
+    if all(c.interval == fam.interval for c in fam.cycles):
+        plain, ref = verify_edge_disjoint(fam.cycles), _all_edge_keys(fam.cycles)
+        assert (plain.ok, plain.reason, plain.detail) == (ref.ok, ref.reason, ref.detail)
