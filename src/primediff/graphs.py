@@ -142,18 +142,21 @@ def _steps(seq, closed: bool):
     return chain(steps, (seq[0] - seq[-1],)) if closed else steps
 
 
-def _walk(seqs, lo: int, hi: int, closed: bool, allowed, per_cycle: bool = False) -> Verdict:
+def _walk(seqs, lo: int, hi: int, closed: bool, allowed, per_cycle: bool = False, diffs=None) -> Verdict:
     """The one check of a witness's steps, wrapping around each sequence when closed.
 
     Callers have already checked the vertex set, so every difference is at
     most hi - lo.  Each distinct difference is looked up once, in the shared
     prime bitmap and in `allowed`; only when one misses are the steps walked
-    in order, to name the first miss and the rule it broke.
+    in order, to name the first miss and the rule it broke.  `diffs`, when
+    given, receives the set of distinct |differences|.
     """
     flags = primes.prime_flags(hi - lo)
     distinct: set[int] = set()
     for seq in seqs:
         distinct.update(_steps(seq, closed))
+    if diffs is not None:
+        diffs.append(set(map(abs, distinct)))
     misses = {d for d in map(abs, distinct) if not flags[d] or (allowed is not None and d not in allowed)}
     if misses:
         for idx, seq in enumerate(seqs):
@@ -164,17 +167,24 @@ def _walk(seqs, lo: int, hi: int, closed: bool, allowed, per_cycle: bool = False
     return OK
 
 
-def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, allowed_diffs=None) -> Verdict:
-    """Path (closed: cycle) checks, in the order their violations take precedence."""
+def _check_seq(w, closed: bool, allowed=None, diffs=None) -> Verdict:
+    """The vertex set, the cycle length and the steps of a path (closed:
+    cycle); `diffs` as in `_walk`."""
     seq = w.sequence
     lo, hi = w.interval.lo, w.interval.hi
     if not _covers((seq,), lo, hi):
         return _fail(NOT_PERMUTATION)
     if closed and len(seq) < 3:
         return _fail(SHORT_CYCLE, length=len(seq))
-    v = _walk((seq,), lo, hi, closed, allowed_diffs)
+    return _walk((seq,), lo, hi, closed, allowed, diffs=diffs)
+
+
+def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, allowed_diffs=None) -> Verdict:
+    """Path (closed: cycle) checks, in the order their violations take precedence."""
+    v = _check_seq(w, closed, allowed_diffs)
     if not v:
         return v
+    seq = w.sequence
     if expected_endpoints is not None and (seq[0], seq[-1]) != tuple(expected_endpoints):
         return _fail(WRONG_ENDPOINTS, expected=tuple(expected_endpoints), actual=(seq[0], seq[-1]))
     if required_edge is not None:
@@ -237,13 +247,17 @@ def verify_edge_disjoint(cycles) -> Verdict:
     cycles = list(cycles)
     if len({(c.interval.lo, c.interval.hi) for c in cycles}) > 1:
         raise ValueError("cycles must share one interval")
-    seqs = [c.sequence for c in cycles if c.sequence]
-    if len(seqs) < 2:
-        return OK
-    uses = Counter(chain.from_iterable(set(map(abs, set(_steps(seq, True)))) for seq in seqs))
+    return _shared_edges(cycles, [set(map(abs, set(_steps(c.sequence, True)))) for c in cycles if c.sequence])
+
+
+def _shared_edges(cycles, diffs) -> Verdict:
+    """The first edge two of `cycles` share, if any; `diffs` holds each
+    nonempty cycle's set of |differences|."""
+    uses = Counter(chain.from_iterable(diffs))
     shared = {d for d, count in uses.items() if count > 1}
     if not shared:
         return OK
+    seqs = [c.sequence for c in cycles if c.sequence]
     w = max(map(max, seqs)) - min(map(min, seqs)) + 1
     seen: set[int] = set()
     for idx, c in enumerate(cycles):
@@ -263,12 +277,14 @@ def verify_edge_disjoint(cycles) -> Verdict:
 
 
 def _verify_family(w: DisjointFamily) -> Verdict:
-    """Every member a Hamilton cycle of the family's interval, then no shared edge."""
+    """Every member a Hamilton cycle of the family's interval, then no shared
+    edge, counted from the differences the member checks found."""
+    diffs: list[set[int]] = []
     for idx, c in enumerate(w.cycles):
-        v = _verify_seq(c, True) if c.interval == w.interval else _fail(NOT_PERMUTATION)
+        v = _check_seq(c, True, diffs=diffs) if c.interval == w.interval else _fail(NOT_PERMUTATION)
         if not v:
             return _fail(v.reason, cycle=idx, **(v.detail or {}))
-    return verify_edge_disjoint(w.cycles)
+    return _shared_edges(w.cycles, diffs)
 
 
 def verify(w, **claims) -> Verdict:

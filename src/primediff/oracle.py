@@ -38,72 +38,86 @@ def _adjacency(verts: list[int], allowed=None) -> list[list[int]]:
     return [[j for j, w in enumerate(verts) if ok[abs(w - v)]] for v in verts]
 
 
-def _masks_without(v: int, m: int) -> int:
-    """Bitset over all 2^m masks: bit `mask` is set iff v is not in mask.
+def _masks_without(b: int, m: int) -> int:
+    """Bitset over all 2^m masks: bit `mask` is set iff bit b is not in mask.
 
     Built from a repeated byte pattern; big-int arithmetic over 2^m bits
     would cost as much as the search itself.  For m < 3 the pattern also sets
     bits past 2^m, which no reach set ever holds.
     """
-    if v < 3:
-        unit = (b"\x55", b"\x33", b"\x0f")[v]
+    if b < 3:
+        unit = (b"\x55", b"\x33", b"\x0f")[b]
     else:
-        half = 1 << (v - 3)
+        half = 1 << (b - 3)
         unit = b"\xff" * half + b"\x00" * half
     nbytes = max(1, (1 << m) >> 3)
     return int.from_bytes(unit * (nbytes // len(unit)), "little")
 
 
-def _reach_sets(adj: list[list[int]], end: int) -> list[int]:
-    """S[v] is a 2^m-bit int: bit `mask` is set iff some path v -> end
-    covers exactly the vertex indices in mask.
+def _without(m: int) -> list[int]:
+    """`_masks_without` of each of the m - 1 mask bits of an m-vertex search."""
+    return [_masks_without(b, m - 1) for b in range(m - 1)]
 
-    Bit-parallel Held-Karp: one relaxation extends every path of every mask
-    at once, S[v] = (OR of S[u] over neighbors u, restricted to masks
-    without v) << 2^v, repeated until nothing changes (at most m rounds).
+
+def _reach_sets(adj: list[list[int]], end: int, without: list[int] | None = None) -> list[int]:
+    """S[v] is a 2^(m-1)-bit int: bit `mask` is set iff some path v -> end
+    covers exactly end and the vertex indices in mask.
+
+    The end vertex is in every such path, so it takes no mask bit: vertex
+    index u != end takes bit(u) = u - (u > end), and S[end] = 1 is the empty
+    mask.  Bit-parallel Held-Karp: one relaxation extends every path of every
+    mask at once, S[v] = (OR of S[u] over neighbors u, restricted to masks
+    without bit(v)) << 2^bit(v), repeated until nothing changes (at most m
+    rounds).  `without` is `_without(m)`, passed in when several ends share it.
     """
     m = len(adj)
-    without = [_masks_without(v, m) for v in range(m)]
+    if without is None:
+        without = _without(m)
+    bits = [(v, v - (v > end)) for v in range(m) if v != end]
     reach = [0] * m
-    reach[end] = 1 << (1 << end)
+    reach[end] = 1
     changed = True
     while changed:
         changed = False
-        for v in range(m):
-            if v == end:
-                continue
+        for v, b in bits:
             acc = 0
             for u in adj[v]:
                 acc |= reach[u]
-            new = (acc & without[v]) << (1 << v)
+            new = (acc & without[b]) << (1 << b)
             if new != reach[v]:
                 reach[v] = new
                 changed = True
     return reach
 
 
-def _greedy_walk(adj: list[list[int]], reach: list[int], start: int, rest: int) -> list[int] | None:
-    """Greedy walk from index `start` over the indices in `rest`, the end of
-    the reach sets included.
+def _greedy_walk(adj: list[list[int]], reach: list[int], start: int, end: int) -> list[int] | None:
+    """Greedy walk from index `start` over every other index, onto `end`
+    (start == end for a cycle).
 
-    Each step takes the first neighbor u, in adj order, whose reach set S[u]
-    holds bit `rest`, then drops u from `rest`; so the walk is the least
-    path in adj order.  Returns the indices after `start`, or None when no
-    first step exists (no such path).
+    `rest` holds the mask bits of the indices not visited yet.  Each step
+    takes the first neighbor u, in adj order, whose reach set S[u] holds bit
+    `rest`, then drops bit(u) from `rest`; so the walk is the least path in
+    adj order.  Returns the indices after `start`, `end` last, or None when
+    no first step exists (no such path).
     """
-    nbytes = ((1 << len(adj)) + 7) // 8
+    m = len(adj)
+    nbytes = ((1 << (m - 1)) + 7) // 8
     view = [r.to_bytes(nbytes, "little") for r in reach]
+    rest = (1 << (m - 1)) - 1
+    if start != end:
+        rest ^= 1 << (start - (start > end))
     out: list[int] = []
     cur = start
-    while rest:
+    while True:
         byte, bit = rest >> 3, rest & 7
         cur = next((u for u in adj[cur] if view[u][byte] >> bit & 1), None)
         if cur is None:
             assert not out, "reachability DP must admit a successor"
             return None
         out.append(cur)
-        rest ^= 1 << cur
-    return out
+        if cur == end:
+            return out
+        rest ^= 1 << (cur - (cur > end))
 
 
 def brute_hamilton_path(
@@ -119,7 +133,7 @@ def brute_hamilton_path(
     start vertex it always takes the smallest viable successor ("min"), or the
     largest with prefer="max"; existence does not depend on that choice.
     A successor u is viable iff bit `rest` of the reach set S[u] is set,
-    where `rest` holds the vertices not visited yet.
+    where `rest` holds the vertices not visited yet, the end aside.
     """
     cap = _general_cap(max_order)
     _guard(interval.order, cap)
@@ -133,7 +147,7 @@ def brute_hamilton_path(
     adj = _adjacency(verts)
     if prefer == "max":
         adj = [nbrs[::-1] for nbrs in adj]
-    walk = _greedy_walk(adj, _reach_sets(adj, bi), ai, ((1 << len(verts)) - 1) ^ (1 << ai))
+    walk = _greedy_walk(adj, _reach_sets(adj, bi), ai, bi)
     return None if walk is None else PathWitness(interval, (a, *(verts[i] for i in walk)))
 
 
@@ -150,11 +164,11 @@ def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple
     _guard(n, cap)
     verts = list(range(1, n + 1))
     adj = _adjacency(verts)
-    full = (1 << n) - 1
+    without = _without(n)
     out = set()
     for e in range(1, n // 2 + 1):
-        for i, r in enumerate(_reach_sets(adj, e - 1)):
-            if i != e - 1 and r.bit_length() != full + 1:
+        for i, r in enumerate(_reach_sets(adj, e - 1, without)):
+            if i != e - 1 and r.bit_length() != 1 << (n - 1):
                 a, b = sorted((e, i + 1))
                 out.update({(a, b), (n + 1 - b, n + 1 - a)})
     return out
@@ -231,5 +245,5 @@ def brute_diff_restricted_cycle(
     if n < 3:
         return None
     adj = _adjacency(list(range(1, n + 1)), frozenset(allowed))
-    walk = _greedy_walk(adj, _reach_sets(adj, 0), 0, (1 << n) - 1)
+    walk = _greedy_walk(adj, _reach_sets(adj, 0), 0, 0)
     return None if walk is None else CycleWitness(Interval(1, n), (1, *(i + 1 for i in walk[:-1])))

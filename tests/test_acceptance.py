@@ -109,9 +109,9 @@ def test_criterion_2_oracle_finds_no_infeasible_pair():
     # The same claim as criterion 2, checked by exhaustive search instead of
     # by construction: from order 9 on, every endpoint pair has a path.
     t0 = time.perf_counter()
-    found = {n: sorted(brute_infeasible_pairs(n)) for n in range(9, 21)}
+    found = {n: sorted(brute_infeasible_pairs(n)) for n in range(9, 23)}
     bad = {n: pairs for n, pairs in found.items() if pairs}
-    _report(2, not bad, f"oracle: no infeasible pair at orders 9-20, {len(bad)} orders with one",
+    _report(2, not bad, f"oracle: no infeasible pair at orders 9-22, {len(bad)} orders with one",
             time.perf_counter() - t0)
     assert not bad, bad
 

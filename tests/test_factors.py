@@ -107,16 +107,15 @@ def test_random_spec_property(n, data):
 def test_realize_is_linear_in_the_part_count():
     # Each long part costs O(1) to peel besides its own cycle, so 4x the
     # parts takes about 4x the time; a peel that is O(k) per part makes the
-    # ratio approach 16.
-    def best_of_3(k):
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            two_factor(5 * k, (5,) * k)
-            times.append(time.perf_counter() - t0)
-        return min(times)
+    # ratio approach 16.  CPU time of the process, best of 4 interleaved
+    # pairs, so that a busy host slows both sizes alike and barely at all.
+    def cpu(k):
+        t0 = time.process_time()
+        two_factor(5 * k, (5,) * k)
+        return time.process_time() - t0
 
-    ratio = best_of_3(100_000) / best_of_3(25_000)
+    small, large = zip(*((cpu(25_000), cpu(100_000)) for _ in range(4)))
+    ratio = min(large) / min(small)
     assert ratio < 6, f"time ratio {ratio:.1f} for 4x the parts"
 
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from primediff.oracle import (
     brute_infeasible_pairs,
     brute_two_factor_exists,
 )
+from primediff.primes import prime_flags
 
 I9 = Interval(1, 9)
 
@@ -148,6 +150,40 @@ def test_restricted_cycle_odd_differences_need_even_order():
         for allowed in ({3}, {3, 5}, {5, 7, 11}, {3, 5, 7, 11, 13}, {3, 5, 7, 11, 13, 17, 19}):
             assert brute_diff_restricted_cycle(n, allowed) is None, (n, allowed)
     assert brute_diff_restricted_cycle(20, {3, 5, 7, 11, 13}) is not None
+
+
+def test_two_differences_give_a_cycle_only_with_2_or_3():
+    # A Hamilton cycle of [1, n] whose differences are two primes p < q with
+    # p + q != n exists only when 2 or 3 is one of them; so one difference
+    # class per cycle cannot carry a family much past n / ln^2 n cycles.
+    cases = 0
+    for n in range(7, 21):
+        flags = prime_flags(n)
+        ps = [p for p in range(2, n) if flags[p]]
+        for p, q in itertools.combinations(ps, 2):
+            if p + q == n:
+                continue
+            cases += 1
+            w = brute_diff_restricted_cycle(n, {p, q})
+            if w is not None:
+                assert {p, q} & {2, 3}, (n, p, q, w.sequence)
+                assert verify_cycle(w, allowed_diffs={p, q})
+    assert cases == 162
+
+
+def test_path_search_peak_memory():
+    # Reach sets of 2^(m-1) bits: about 2.7 MB at order 20, against 5.6 MB
+    # when every mask also held a bit for the end vertex.
+    iv = Interval(1, 20)
+    prime_flags(iv.order)
+    tracemalloc.start()
+    try:
+        w = brute_hamilton_path(iv, (10, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and verify_path(w, (10, 17))
+    assert peak < 4 << 20, f"{peak} bytes"
 
 
 def _pinned_lines():

@@ -81,6 +81,22 @@ def test_verifier_peak_memory(big, name, check):
     assert peak < BUDGET, f"{name}: {peak} bytes"
 
 
+def test_family_walks_each_member_once(big, monkeypatch):
+    # The member checks find each member's differences; the disjointness
+    # count reuses them instead of walking the steps a second time.
+    calls = []
+
+    def counted(seq, closed):
+        calls.append(len(seq))
+        return steps(seq, closed)
+
+    steps = graphs._steps
+    monkeypatch.setattr(graphs, "_steps", counted)
+    fam = big["family"]
+    assert verify(fam)
+    assert len(calls) == len(fam.cycles) == 128
+
+
 # Families on [1, n] drawn from true members with true or false sources.
 LABELS = ["diff23", "fallback", "pair:3", "pair:x,y", "pair:2,3", "pair:5,7", "pair:11,13", "pair:3,5"]
 
