@@ -124,16 +124,23 @@ def _fail(reason: str, **detail) -> Verdict:
 def _covers(seqs, lo: int, hi: int) -> bool:
     """Whether `seqs` together hold each vertex of [lo, hi] exactly once.
 
-    Once the count and the range are right, one byte per vertex decides: the
-    vertices are distinct exactly when they mark every byte of the interval.
+    Once the count is right, one byte per vertex decides: each vertex v marks
+    byte v - lo, and an index past either end (v > hi or v < lo - n) raises
+    IndexError.  A vertex in [lo - n, lo) wraps onto the byte of v + n, which
+    only the sum shows: the count, every byte marked and the sum of [lo, hi]
+    hold together exactly when the vertices are [lo, hi], each once.
     """
-    if sum(map(len, seqs)) != hi - lo + 1 or not all(s and lo <= min(s) and max(s) <= hi for s in seqs):
+    n = hi - lo + 1
+    if sum(map(len, seqs)) != n or not all(seqs):
         return False
-    mark = bytearray(hi - lo + 1)
-    for s in seqs:
-        for v in s:
-            mark[v - lo] = 1
-    return mark.find(0) < 0
+    mark = bytearray(n)
+    try:
+        for s in seqs:
+            for v in s:
+                mark[v - lo] = 1
+    except IndexError:
+        return False
+    return mark.find(0) < 0 and sum(map(sum, seqs)) == n * (lo + hi) // 2
 
 
 def _steps(seq, closed: bool):

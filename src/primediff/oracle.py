@@ -54,32 +54,39 @@ def _masks_without(b: int, m: int) -> int:
     return int.from_bytes(unit * (nbytes // len(unit)), "little")
 
 
-def _without(m: int) -> list[int]:
-    """`_masks_without` of each of the m - 1 mask bits of an m-vertex search."""
-    return [_masks_without(b, m - 1) for b in range(m - 1)]
+def _without(k: int) -> list[int]:
+    """`_masks_without` of each of the k mask bits of a search."""
+    return [_masks_without(b, k) for b in range(k)]
 
 
-def _reach_sets(adj: list[list[int]], end: int, without: list[int] | None = None) -> list[int]:
-    """S[v] is a 2^(m-1)-bit int: bit `mask` is set iff some path v -> end
-    covers exactly end and the vertex indices in mask.
+def _bits(m: int, start: int, end: int) -> list[int]:
+    """The vertex indices that take a mask bit, in bit order: all but `start`
+    and `end` (start == end for a cycle or an infeasible-pair end)."""
+    return [v for v in range(m) if v != start and v != end]
 
-    The end vertex is in every such path, so it takes no mask bit: vertex
-    index u != end takes bit(u) = u - (u > end), and S[end] = 1 is the empty
-    mask.  Bit-parallel Held-Karp: one relaxation extends every path of every
-    mask at once, S[v] = (OR of S[u] over neighbors u, restricted to masks
-    without bit(v)) << 2^bit(v), repeated until nothing changes (at most m
-    rounds).  `without` is `_without(m)`, passed in when several ends share it.
+
+def _reach_sets(adj: list[list[int]], start: int, end: int, without: list[int] | None = None) -> list[int]:
+    """S[v] is a 2^k-bit int over the k = len(_bits(m, start, end)) mask
+    bits: bit `mask` is set iff some path v -> end covers exactly end and the
+    vertices whose bits are in mask.
+
+    Every path the query needs runs from start to end, so neither takes a
+    mask bit: S[end] = 1 is the empty mask, and S[start] stays 0 when start
+    != end, so no path passes through start.
+    Bit-parallel Held-Karp: one relaxation extends every path of every mask
+    at once, S[v] = (OR of S[u] over neighbors u, restricted to masks without
+    bit(v)) << 2^bit(v), repeated until nothing changes (at most m rounds).
+    `without` is `_without(k)`, passed in when several queries share it.
     """
-    m = len(adj)
+    bits = _bits(len(adj), start, end)
     if without is None:
-        without = _without(m)
-    bits = [(v, v - (v > end)) for v in range(m) if v != end]
-    reach = [0] * m
+        without = _without(len(bits))
+    reach = [0] * len(adj)
     reach[end] = 1
     changed = True
     while changed:
         changed = False
-        for v, b in bits:
+        for b, v in enumerate(bits):
             acc = 0
             for u in adj[v]:
                 acc |= reach[u]
@@ -92,32 +99,32 @@ def _reach_sets(adj: list[list[int]], end: int, without: list[int] | None = None
 
 def _greedy_walk(adj: list[list[int]], reach: list[int], start: int, end: int) -> list[int] | None:
     """Greedy walk from index `start` over every other index, onto `end`
-    (start == end for a cycle).
+    (start == end for a cycle), on the reach sets of `_reach_sets(adj,
+    start, end)`.
 
-    `rest` holds the mask bits of the indices not visited yet.  Each step
-    takes the first neighbor u, in adj order, whose reach set S[u] holds bit
-    `rest`, then drops bit(u) from `rest`; so the walk is the least path in
-    adj order.  Returns the indices after `start`, `end` last, or None when
-    no first step exists (no such path).
+    `rest` holds the mask bits of the indices not visited yet; it starts
+    full, since start takes no bit.  Each step takes the first neighbor u,
+    in adj order, whose reach set S[u] holds bit `rest`, then drops bit(u)
+    from `rest`; so the walk is the least path in adj order.  Returns the
+    indices after `start`, `end` last, or None when no first step exists (no
+    such path).
     """
-    m = len(adj)
-    nbytes = ((1 << (m - 1)) + 7) // 8
+    bits = _bits(len(adj), start, end)
+    nbytes = ((1 << len(bits)) + 7) // 8
     view = [r.to_bytes(nbytes, "little") for r in reach]
-    rest = (1 << (m - 1)) - 1
-    if start != end:
-        rest ^= 1 << (start - (start > end))
+    rest = (1 << len(bits)) - 1
     out: list[int] = []
     cur = start
     while True:
-        byte, bit = rest >> 3, rest & 7
-        cur = next((u for u in adj[cur] if view[u][byte] >> bit & 1), None)
+        byte, b = rest >> 3, rest & 7
+        cur = next((u for u in adj[cur] if view[u][byte] >> b & 1), None)
         if cur is None:
             assert not out, "reachability DP must admit a successor"
             return None
         out.append(cur)
         if cur == end:
             return out
-        rest ^= 1 << (cur - (cur > end))
+        rest ^= 1 << bits.index(cur)
 
 
 def brute_hamilton_path(
@@ -133,7 +140,9 @@ def brute_hamilton_path(
     start vertex it always takes the smallest viable successor ("min"), or the
     largest with prefer="max"; existence does not depend on that choice.
     A successor u is viable iff bit `rest` of the reach set S[u] is set,
-    where `rest` holds the vertices not visited yet, the end aside.
+    where `rest` holds the vertices not visited yet.  Both endpoints lie on
+    every such path, so neither takes a mask bit: masks name only the m - 2
+    interior vertices.
     """
     cap = _general_cap(max_order)
     _guard(interval.order, cap)
@@ -147,7 +156,7 @@ def brute_hamilton_path(
     adj = _adjacency(verts)
     if prefer == "max":
         adj = [nbrs[::-1] for nbrs in adj]
-    walk = _greedy_walk(adj, _reach_sets(adj, bi), ai, bi)
+    walk = _greedy_walk(adj, _reach_sets(adj, ai, bi), ai, bi)
     return None if walk is None else PathWitness(interval, (a, *(verts[i] for i in walk)))
 
 
@@ -156,7 +165,8 @@ def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple
 
     The complement v -> n+1-v is an automorphism, and every pair (a, b) is
     equivalent to (n+1-b, n+1-a), one of which has an end <= n/2; so only
-    those ends are searched.
+    those ends are searched.  One DP per end answers every start at once, so
+    only the end takes no mask bit.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -164,10 +174,10 @@ def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple
     _guard(n, cap)
     verts = list(range(1, n + 1))
     adj = _adjacency(verts)
-    without = _without(n)
+    without = _without(n - 1)
     out = set()
     for e in range(1, n // 2 + 1):
-        for i, r in enumerate(_reach_sets(adj, e - 1, without)):
+        for i, r in enumerate(_reach_sets(adj, e - 1, e - 1, without)):
             if i != e - 1 and r.bit_length() != 1 << (n - 1):
                 a, b = sorted((e, i + 1))
                 out.update({(a, b), (n + 1 - b, n + 1 - a)})
@@ -235,8 +245,9 @@ def brute_diff_restricted_cycle(
     """Lexicographically least Hamilton cycle of [1, n], read from 1, whose
     differences all lie in `allowed` (non-primes in it never count), or None.
 
-    The same reach-set DP as the path search, with end vertex 1: the walk
-    from 1 covers every vertex and returns to 1, and the return is dropped.
+    The same reach-set DP as the path search, with start and end vertex 1,
+    the one vertex that takes no mask bit: the walk from 1 covers every
+    vertex and returns to 1, and the return is dropped.
     The least such walk already has its second vertex below its last, since
     otherwise its reversal would be smaller.
     """
@@ -245,5 +256,5 @@ def brute_diff_restricted_cycle(
     if n < 3:
         return None
     adj = _adjacency(list(range(1, n + 1)), frozenset(allowed))
-    walk = _greedy_walk(adj, _reach_sets(adj, 0), 0, 0)
+    walk = _greedy_walk(adj, _reach_sets(adj, 0, 0), 0, 0)
     return None if walk is None else CycleWitness(Interval(1, n), (1, *(i + 1 for i in walk[:-1])))

@@ -26,6 +26,7 @@ from primediff.graphs import (
 )
 from primediff.oracle import (
     brute_diff_restricted_cycle,
+    brute_hamilton_path,
     brute_infeasible_pairs,
     brute_two_factor_exists,
 )
@@ -114,6 +115,21 @@ def test_criterion_2_oracle_finds_no_infeasible_pair():
     _report(2, not bad, f"oracle: no infeasible pair at orders 9-22, {len(bad)} orders with one",
             time.perf_counter() - t0)
     assert not bad, bad
+
+
+def test_criterion_2_oracle_agrees_past_the_default_cap():
+    # Orders 23 and 24, above the oracle's default cap: on six fixed pairs
+    # each, the constructor and the exhaustive search both give a path.
+    t0 = time.perf_counter()
+    disagreements = []
+    for n in (23, 24):
+        for a, b in ((1, 2), (1, n), (2, 3), (5, 17), (n // 2, n // 2 + 1), (n - 4, n)):
+            w = brute_hamilton_path(Interval(1, n), (a, b), max_order=24)
+            if not (w is not None and verify_path(w, (a, b)) and verify_path(hamilton_path(n, a, b), (a, b))):
+                disagreements.append((n, a, b))
+    _report(2, not disagreements, f"oracle agrees with the constructor on 12 pairs at orders 23-24, "
+            f"{len(disagreements)} disagreements", time.perf_counter() - t0)
+    assert not disagreements, disagreements
 
 
 def test_criterion_3_golden_rows():

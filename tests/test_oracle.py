@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import itertools
+import random
 import sys
 import time
 import tracemalloc
@@ -184,6 +185,38 @@ def test_path_search_peak_memory():
         tracemalloc.stop()
     assert w is not None and verify_path(w, (10, 17))
     assert peak < 4 << 20, f"{peak} bytes"
+
+
+def test_order_22_path_search_peak_memory():
+    # Neither endpoint takes a mask bit, so reach sets have 2^(m-2) bits:
+    # about 5.7 MB at order 22, against 12.0 MB when the start held one.
+    iv = Interval(1, 22)
+    prime_flags(iv.order)
+    tracemalloc.start()
+    try:
+        w = brute_hamilton_path(iv, (3, 19))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and verify_path(w, (3, 19))
+    assert peak < 8 << 20, f"{peak} bytes"
+
+
+def _sampled_lines():
+    for n in range(13, 19):
+        iv = Interval(1, n)
+        pairs = random.Random(n).sample(list(itertools.permutations(iv.vertices(), 2)), 8)
+        for a, b in pairs:
+            for prefer in ("min", "max"):
+                w = brute_hamilton_path(iv, (a, b), prefer=prefer)
+                yield f"{n} {a} {b} {prefer}: {None if w is None else w.sequence}"
+
+
+def test_sampled_witnesses_are_pinned():
+    # Eight sampled ordered pairs at each order 13-18, both walk preferences:
+    # past the all-pairs pin below, the witnesses stay byte-identical too.
+    digest = hashlib.sha256("\n".join(_sampled_lines()).encode()).hexdigest()
+    assert digest == "a7c4efc0e5243788e0dfbe9ed6c69b6f984f68548784877e4f31fc74016c05af"
 
 
 def _pinned_lines():

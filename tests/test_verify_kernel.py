@@ -8,6 +8,7 @@ accepted with no edge keys at all, whatever its sources say.
 """
 
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,37 @@ def test_family_walks_each_member_once(big, monkeypatch):
     fam = big["family"]
     assert verify(fam)
     assert len(calls) == len(fam.cycles) == 128
+
+
+@st.composite
+def covers_cases(draw):
+    """(seqs, lo, hi): int lists drawn from [lo - 2n, hi + 2n], n = hi - lo + 1,
+    or near misses, a permutation of [lo, hi] cut into members (some empty)
+    with a few entries replaced."""
+    lo = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 12))
+    hi = lo + n - 1
+    value = st.integers(lo - 2 * n, hi + 2 * n)
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(value, max_size=n + 2), max_size=4)), lo, hi
+    flat = draw(st.permutations(range(lo, hi + 1)))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=2)):
+        flat[i] = v
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    return [flat[i:j] for i, j in zip([0, *cuts], [*cuts, n])], lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(covers_cases())
+def test_covers_agrees_with_sorting(case):
+    seqs, lo, hi = case
+    assert graphs._covers(seqs, lo, hi) == (all(seqs) and sorted(chain(*seqs)) == list(range(lo, hi + 1)))
+
+
+def test_covers_sees_a_vertex_below_the_interval():
+    # 0 - 1 indexes the last byte, which 3 would mark: only the sum tells.
+    assert not graphs._covers(((1, 2, 0),), 1, 3)
+    assert verify_path(graphs.PathWitness(Interval(1, 3), (1, 2, 0))).reason == NOT_PERMUTATION
 
 
 # Families on [1, n] drawn from true members with true or false sources.
