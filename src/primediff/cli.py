@@ -1,12 +1,13 @@
 """Command-line surface: every constructor, the oracle, and the verifier.
 
 Every command but `verify` prints through `_emit`: plain output is one
-space-separated vertex sequence per line (2-factor cycles joined with `|`);
-`--json` prints one object with "ok": true, byte-stable for identical
-inputs.  Only the requested form is built.  Exit codes: 0 success; 1 for a
-domain error, whose class names its `code`, for running out of memory
-(`resource_limit`) and for a `verify` violation; 2 for a usage error.  Each
-failure but argparse's own prints {"error": code, "detail": {...}} on stderr.
+space-separated vertex sequence per line (2-factor cycles joined with `|`),
+written a fixed number of vertices at a time; `--json` prints one object
+with "ok": true, byte-stable for identical inputs.  Only the requested form
+is built.  Exit codes: 0 success; 1 for a domain error, whose class names
+its `code`, for running out of memory (`resource_limit`) and for a `verify`
+violation; 2 for a usage error.  Each failure but argparse's own prints
+{"error": code, "detail": {...}} on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .errors import Infeasible, NotFound, PrimeDiffError
 from .factors import two_factor
@@ -42,28 +44,36 @@ def _lengths(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _plain(w) -> str:
-    if isinstance(w, TwoFactorWitness):
-        return " | ".join(" ".join(map(str, c)) for c in w.cycles)
-    return " ".join(map(str, w.sequence))
+# Vertices per piece of plain output, so no line is ever held whole.
+_CHUNK = 1 << 16
 
 
-def _emit(as_json: bool, obj, lines) -> int:
-    """Print `{"ok": true, **obj()}` or each of `lines()`; only that form is built."""
+def _plain(w):
+    """The plain line of `w` in pieces of at most `_CHUNK` vertices."""
+    cycles = w.cycles if isinstance(w, TwoFactorWitness) else (w.sequence,)
+    for i, c in enumerate(cycles):
+        if i:
+            yield " | "
+        for j in range(0, len(c), _CHUNK):
+            yield (" " if j else "") + " ".join(map(str, c[j : j + _CHUNK]))
+    yield "\n"
+
+
+def _emit(as_json: bool, obj, text) -> int:
+    """Print `{"ok": true, **obj()}` or write the pieces of `text()`; only that form is built."""
     if as_json:
         print(_dumps({"ok": True, **obj()}))
     else:
-        for line in lines():
-            print(line)
+        sys.stdout.writelines(text())
     return 0
 
 
 def _one(w):
-    return (lambda: witness_to_json(w)), (lambda: [_plain(w)])
+    return (lambda: witness_to_json(w)), (lambda: _plain(w))
 
 
 def _many(ws, **extra):
-    return (lambda: {"witnesses": [witness_to_json(w) for w in ws], **extra}), (lambda: map(_plain, ws))
+    return (lambda: {"witnesses": [witness_to_json(w) for w in ws], **extra}), (lambda: chain(*map(_plain, ws)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _output(args):
-    """The (JSON object, plain lines) thunks that `_emit` prints for a command."""
+    """The (JSON object, plain text) thunks that `_emit` prints for a command."""
     cmd = args.command
     if cmd == "path":
         return _one(hamilton_path(args.n, args.a, args.b))
@@ -162,13 +172,13 @@ def _output(args):
             raise NotFound(
                 f"no {args.k}-term prime progression with first term and difference at most {args.limit}"
             )
-        return (lambda: {"progression": list(ap)}), (lambda: [" ".join(map(str, ap))])
+        return (lambda: {"progression": list(ap)}), (lambda: [" ".join(map(str, ap)) + "\n"])
     if cmd == "exceptions":
         if args.oracle:
             pairs = sorted(brute_infeasible_pairs(args.n, max_order=args.max_order))
         else:
             pairs = sorted(infeasible_pairs(args.n))
-        return (lambda: {"pairs": [list(p) for p in pairs]}), (lambda: (f"({a},{b})" for a, b in pairs))
+        return (lambda: {"pairs": [list(p) for p in pairs]}), (lambda: (f"({a},{b})\n" for a, b in pairs))
     if cmd == "oracle-path":
         w = brute_hamilton_path(Interval(1, args.n), (args.a, args.b), max_order=args.max_order)
         if w is None:

@@ -7,7 +7,7 @@ never size it up front.
 from __future__ import annotations
 
 import threading
-from math import isqrt, prod
+from math import isqrt
 
 
 def _sieve_flags(limit: int) -> bytearray:
@@ -83,15 +83,15 @@ def prime_arithmetic_progression(
     when the search box is exhausted (limits 0 and 1 give an empty box); a
     negative limit is a ValueError.
 
-    Wheel: every prime l <= k below the first term divides the difference,
-    since otherwise some term would be a multiple of l larger than l; so the
-    difference steps by the product of those primes.  Every prime l < k
-    divides the difference d whatever the first term a: were a = l, term l
-    would be a larger multiple of l; were a < l for the least l that does
-    not divide d, the one multiple of l among the terms would be l itself,
-    so l >= a + d >= 2 + (product of the primes below l) > l.  So once the
-    product of the primes below k passes the limit the box is empty, and
-    the sieve is not grown for it.
+    Wheel: the difference d steps by W, the product of the primes below k,
+    and by W*k when k is prime and the first term a is above k.  Every
+    prime l < k divides d whatever a: were a = l, term l would be a larger
+    multiple of l; were a < l for the least l that does not divide d, the
+    one multiple of l among the terms would be l itself, so
+    l >= a + d >= 2 + (product of the primes below l) > l; were a > l, that
+    multiple would exceed l.  A prime k with a > k divides d for the last
+    reason.  So once W passes the limit the box is empty, and the sieve is
+    not grown for it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -109,7 +109,7 @@ def prime_arithmetic_progression(
                 return None
     _ensure(search_limit * k)
     flags = _flags
-    small = [p for p in range(2, k + 1) if flags[p]]
+    past_k = wheel * k if flags[k] else wheel
     best = None
     for first in range(2, search_limit + 1):
         # Once one is found, only differences that give a smaller end sum.
@@ -118,7 +118,7 @@ def prime_arithmetic_progression(
             break
         if not flags[first]:
             continue
-        step = prod(p for p in small if p < first)
+        step = past_k if first > k else wheel
         for d in range(step, top + 1, step):
             if all(flags[first + j * d] for j in range(1, k)):
                 best = tuple(first + j * d for j in range(k))

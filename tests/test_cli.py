@@ -7,7 +7,10 @@ import json
 import pytest
 
 from primediff.cli import run
-from primediff.graphs import NOT_PERMUTATION, Verdict
+from primediff.factors import two_factor
+from primediff.generators import edge_disjoint_cycles
+from primediff.graphs import NOT_PERMUTATION, TwoFactorWitness, Verdict
+from primediff.paths import hamilton_cycle_through_edge, hamilton_path
 
 
 def invoke(capsys, *argv):
@@ -60,6 +63,30 @@ def test_two_factor_plain_uses_bar_separator(capsys):
     code, out, _ = invoke(capsys, "two-factor", "7", "--lengths", "3,4")
     assert code == 0
     assert out == "1 3 6 | 2 5 7 4\n"
+
+
+def joined(w) -> str:
+    """The plain line as one string: vertices by spaces, 2-factor cycles by bars."""
+    if isinstance(w, TwoFactorWitness):
+        return " | ".join(" ".join(map(str, c)) for c in w.cycles)
+    return " ".join(map(str, w.sequence))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (("path", "40", "3", "17"), lambda: [hamilton_path(40, 3, 17)]),
+        (("cycle", "40", "--through", "5,10"), lambda: [hamilton_cycle_through_edge(40, (5, 10))]),
+        (("two-factor", "40", "--lengths", "3,4,5,28"), lambda: [two_factor(40, (3, 4, 5, 28))]),
+        (("disjoint", "40"), lambda: edge_disjoint_cycles(40).cycles),
+    ],
+)
+def test_plain_output_in_chunks_matches_joined_lines(argv, build, chunk, capsys, monkeypatch):
+    monkeypatch.setattr("primediff.cli._CHUNK", chunk)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == "".join(joined(w) + "\n" for w in build())
 
 
 def test_json_shape_and_ok_flag(capsys):

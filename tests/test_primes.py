@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primediff import primes
 from primediff.primes import (
     is_prime,
     prime_arithmetic_progression,
@@ -94,9 +95,9 @@ def naive_progression(k: int, limit: int):
     return None
 
 
-@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("k", range(2, 14))
 def test_progression_wheel_matches_naive_scan(k):
-    for limit in (30, 300, 3000):
+    for limit in (30, 300, 3000) if k <= 10 else (30, 300):
         assert prime_arithmetic_progression(k, limit) == naive_progression(k, limit)
 
 
@@ -114,10 +115,29 @@ def naive_least_end_sum(k: int, limit: int):
     return tuple(a + j * d for j in range(k))
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(2, 11))
 def test_progression_least_end_sum_matches_naive_scan(k):
-    for limit in (30, 200):
+    # From k = 9 the wheel is 210, so only a limit past it reaches first
+    # terms below k.
+    for limit in (30, 200) if k <= 8 else (250,):
         assert prime_arithmetic_progression(k, limit, least_end_sum=True) == naive_least_end_sum(k, limit)
+
+
+def test_progression_steps_by_the_full_wheel(monkeypatch):
+    # Every prime below k divides the difference whatever the first term, so
+    # first terms 2, 3, 5 and 7 step by 210 too, not by 1, 2, 6 and 30.
+    lookups = 0
+
+    class Counting(bytearray):
+        def __getitem__(self, i):
+            nonlocal lookups
+            lookups += 1
+            return super().__getitem__(i)
+
+    prime_flags(10 * 10_000)
+    monkeypatch.setattr(primes, "_flags", Counting(primes._flags))
+    assert prime_arithmetic_progression(10, 10_000) == tuple(199 + 210 * j for j in range(10))
+    assert lookups < 6_000
 
 
 def test_progression_exhaustion_and_validation():
