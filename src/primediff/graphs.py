@@ -362,7 +362,7 @@ def witness_from_json(obj) -> PathWitness | CycleWitness | TwoFactorWitness:
     if not (type(lo) is int and type(hi) is int):
         raise ValueError("lo and hi must be integers")
     if not isinstance(seqs, list) or not all(
-        isinstance(s, list) and all(type(v) is int for v in s) for s in seqs
+        isinstance(s, list) and set(map(type, s)) <= {int} for s in seqs
     ):
         raise ValueError("sequences must be a list of integer lists")
     interval = Interval(lo, hi)

@@ -8,15 +8,16 @@ exactly in `EXCEPTION_PAIRS`; from order 9 on every pair is realizable.  Each
 public constructor re-verifies its witness before returning it.
 
 Each table is the one statement of its fact.  `ROWS[(n, a, b)]` holds every
-hand-built path, from a to b as stored; `_path_1m` (the only builder of paths
-from vertex 1) and `_ham_seq` each read it once before their generic rule, so
-no recursion repeats its key ranges as order thresholds.  `infeasible_pairs`
+hand-built path, from a to b as stored, and `_PREFIXED` the fixed ends around
+one long segment; `_ham_fill` reads each once before its generic rule, so no
+recursion repeats their key ranges as order thresholds.  `infeasible_pairs`
 returns `EXCEPTION_PAIRS` as stored, at any order.
 
-Builders emit each piece in place: `_path_1m(n, m, k)` is the path on
-[k+1, k+n], made of ranges offset by k, so each vertex int is created once
-(twice only where `complement_seq` mirrors a piece).  Nothing is memoized: a
-call takes O(n) time and memory, all freed with its result.
+`_ham_fill` appends to one list and writes vertex v of its interval as
+k + s*v: a shift moves k, the mirror v -> n + 1 - v flips s, and a reversal
+turns the appended run around once, so each vertex int is created once.
+Nothing is memoized: a call takes O(n) time and memory, all freed with its
+result.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from .errors import Infeasible, NonEdge
 from .graphs import CycleWitness, Interval, PathWitness, certify
 from .primes import is_prime
-from .transforms import complement_seq, reverse_seq, shift_seq
 
 # ---------------------------------------------------------------------------
 # Hand-built rows.  ROWS[(n, a, b)] is a Hamilton path of [1, n] from a to b,
@@ -114,8 +114,76 @@ EXCEPTION_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
 
 
 # ---------------------------------------------------------------------------
-# Sequence construction on plain tuples; wrapping into witnesses happens at
-# the public surface, where the result is certified.
+# Sequence construction; witnesses are wrapped and certified at the public surface.
+
+# Fixed ends around one long interior segment, for 1 <= a < b <= 6 (a = 1 from
+# b = 3): prefix, then the path of [j+1, n] from j+1 to j+m, backwards when
+# `back` is set, then suffix.
+_PREFIXED: dict[tuple[int, int], tuple[tuple[int, ...], int, int, bool, tuple[int, ...]]] = {
+    (1, 3): ((1, 4, 2), 4, 2, False, (3,)),
+    (1, 4): ((1, 3), 4, 3, False, (2, 4)),
+    (1, 5): ((1, 3), 5, 4, False, (4, 2, 5)),
+    (1, 6): ((1, 3, 5, 2, 4), 5, 2, True, ()),
+    (2, 3): ((2,), 3, 3, False, (1, 3)),
+    (2, 4): ((2,), 4, 4, False, (3, 1, 4)),
+    (2, 5): ((2, 4, 1, 3), 4, 4, True, ()),
+    (2, 6): ((2, 4, 1, 3, 5), 5, 3, True, ()),
+    (3, 4): ((3, 1), 4, 4, True, (2, 4)),
+    (3, 5): ((3, 1, 4, 2), 4, 3, True, ()),
+    (3, 6): ((3, 1, 4, 2), 4, 2, False, ()),
+    (4, 5): ((4, 1, 3), 5, 4, False, (2, 5)),
+    (4, 6): ((4, 1, 3, 5, 2), 5, 4, True, ()),
+    (5, 6): ((5, 2, 4, 1, 3), 5, 3, True, ()),
+}
+
+
+def _ham_fill(out: list[int], n: int, a: int, b: int, k: int, s: int) -> None:
+    """Append the Hamilton path of [1, n] from a to b, a < b <= n + 1 - a, writing
+    vertex v as k + s*v.  Each run out[i:] reversed below follows a vertex (i > 0)."""
+    # The table holds exactly the orders below each recursion's reach.
+    row = ROWS.get((n, a, b))
+    if row is not None:
+        out += [k + s * v for v in row]
+    elif a == 1 and b == 2:
+        # Wrapping 1 ... 2 around the order-(n-2) path, unrolled: odd ramp,
+        # shifted row, even ramp back down.
+        row = ROWS[6 if n % 2 == 0 else 7, 1, 2]
+        r = k + s * (n - len(row))
+        out += range(k + s, r, 2 * s)
+        out += [r + s * v for v in row]
+        out += range(r, k + s, -2 * s)
+    elif b <= 6:
+        prefix, j, m, back, suffix = _PREFIXED[a, b]
+        out += [k + s * v for v in prefix]
+        i = len(out)
+        _ham_fill(out, n - j, 1, m, k + s * j, s)
+        if back:
+            out[i:] = out[: i - 1 : -1]
+        out += [k + s * v for v in suffix]
+    elif a == 1:
+        # Chain q five-vertex steps, step j visiting 5j + (1, 3, 5, 2, 4); the
+        # rest is a base far endpoint (b - 5q <= 6) or one of the order-7..10 rows.
+        q = min((n - 6) // 5, (b - 2) // 5)
+        i = len(out)
+        out += [0] * (5 * q)
+        for j, v in enumerate(ROWS[6, 1, 6][:5], i):
+            out[j::5] = range(k + s * v, k + s * (v + 5 * q), 5 * s)
+        _ham_fill(out, n - 5 * q, 1, b - 5 * q, k + 5 * q * s, s)
+    elif a >= 6:
+        # Cover [1, a] from a to a-1 (the mirrored 1 -> 2 path), then the rest:
+        # a+2 -> a+1 backwards when b = a+1, else a+1 -> b.
+        _ham_fill(out, a, 1, 2, k + s * (a + 1), -s)
+        i = len(out)
+        _ham_fill(out, n - a, 1, 2 if b == a + 1 else b - a, k + s * a, s)
+        if b == a + 1:
+            out[i:] = out[: i - 1 : -1]
+    else:
+        # Split at vertex 6: cover [1, 6] from a to 6 (the mirrored 1 -> 7-a
+        # path, backwards, with vertex 6 dropped), then [6, n] from 6 to b.
+        i = len(out)
+        _ham_fill(out, 6, 1, 7 - a, k + 7 * s, -s)
+        out[i:] = out[:i:-1]
+        _ham_fill(out, n - 5, 1, b - 5, k + 5 * s, s)
 
 
 def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
@@ -126,87 +194,30 @@ def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
         raise ValueError(f"order {n} below the supported range")
     if n == 5 and m not in (3, 4):
         raise Infeasible(f"no Hamilton path from 1 to {m} at order 5", n=5, endpoints=(1, m))
-    # The table holds exactly the orders below each recursion's reach.
-    row = ROWS.get((n, 1, m))
-    if row is not None:
-        return shift_seq(row, k)
-    if m == 2:
-        # Wrapping 1 ... 2 around the order-(n-2) path, unrolled: odd ramp,
-        # shifted row, even ramp back down.
-        row = ROWS[6 if n % 2 == 0 else 7, 1, 2]
-        r = k + n - len(row)
-        return (*range(k + 1, r, 2), *shift_seq(row, r), *range(r, k + 1, -2))
-    if m == 3:
-        return (k + 1, k + 4, k + 2) + _path_1m(n - 4, 2, k + 4) + (k + 3,)
-    if m == 4:
-        return (k + 1, k + 3) + _path_1m(n - 4, 3, k + 4) + (k + 2, k + 4)
-    if m == 5:
-        return (k + 1, k + 3) + _path_1m(n - 5, 4, k + 5) + (k + 4, k + 2, k + 5)
-    if m == 6:
-        return (k + 1, k + 3, k + 5, k + 2, k + 4) + reverse_seq(_path_1m(n - 5, 2, k + 5))
-    # Chain q five-vertex steps, step j visiting 5j + (1, 3, 5, 2, 4); the rest
-    # is a base far endpoint (m - 5q <= 6) or one of the order-7..10 rows.
-    q = min((n - 6) // 5, (m - 2) // 5)
-    seq = [0] * (5 * q)
-    for i, v in enumerate(ROWS[6, 1, 6][:5]):
-        seq[i::5] = range(k + v, k + v + 5 * q, 5)
-    seq += _path_1m(n - 5 * q, m - 5 * q, k + 5 * q)
-    return tuple(seq)
+    out: list[int] = []
+    _ham_fill(out, n, 1, m, k, 1)
+    return tuple(out)
 
 
 def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
-    """Hamilton path sequence of [1, n] from a to b, 1 <= a < b <= n."""
-    # The exception sets are closed under the mirror, so checking the
-    # caller's own pair first keeps it in the Infeasible report.
+    """Hamilton path sequence of [1, n] from a to b, 1 <= a < b <= n (n >= 5)."""
+    # The exception sets are closed under the mirror, so the caller's own
+    # pair is the one to check and to name in the Infeasible report.
     if (a, b) in EXCEPTION_PAIRS.get(n, ()):
         raise Infeasible(
             f"no Hamilton path between {a} and {b} at order {n}",
             n=n,
             endpoints=(a, b),
         )
+    out: list[int] = []
     if a > n + 1 - b:
-        # Mirror into the half where the left endpoint is the tighter one.
-        return reverse_seq(complement_seq(_ham_seq(n, n + 1 - b, n + 1 - a), 1, n))
-    row = ROWS.get((n, a, b))
-    if row is not None:
-        return row
-    if a == 1:
-        return _path_1m(n, b)
-    if a >= 6:
-        # Cover [1, a] ending next to a+1, then the rest.
-        left = complement_seq(_path_1m(a, 2), 1, a)  # a -> a-1
-        if b == a + 1:
-            right = reverse_seq(_path_1m(n - a, 2, a))  # a+2 -> a+1
-        else:
-            right = _path_1m(n - a, b - a, a)  # a+1 -> b
-        return left + right
-    if b >= 7:
-        # Split at vertex 6: cover [1, 6] from a to 6, then [6, n] from 6 to b.
-        left = reverse_seq(complement_seq(_path_1m(6, 7 - a), 1, 6))  # a -> 6
-        right = _path_1m(n - 5, b - 5, 5)  # 6 -> b
-        return left + right[1:]
-    # 2 <= a < b <= 6: fixed prefixes around one long interior segment.
-    if (a, b) == (2, 3):
-        return (2,) + _path_1m(n - 3, 3, 3) + (1, 3)
-    if (a, b) == (2, 4):
-        return (2,) + _path_1m(n - 4, 4, 4) + (3, 1, 4)
-    if (a, b) == (2, 5):
-        return (2, 4, 1, 3) + reverse_seq(_path_1m(n - 4, 4, 4))
-    if (a, b) == (2, 6):
-        return (2, 4, 1, 3, 5) + reverse_seq(_path_1m(n - 5, 3, 5))
-    if (a, b) == (3, 4):
-        return (3, 1) + reverse_seq(_path_1m(n - 4, 4, 4)) + (2, 4)
-    if (a, b) == (3, 5):
-        return (3, 1, 4, 2) + reverse_seq(_path_1m(n - 4, 3, 4))
-    if (a, b) == (3, 6):
-        return (3, 1, 4, 2) + _path_1m(n - 4, 2, 4)
-    if (a, b) == (4, 5):
-        return (4, 1, 3) + _path_1m(n - 5, 4, 5) + (2, 5)
-    if (a, b) == (4, 6):
-        return (4, 1, 3, 5, 2) + reverse_seq(_path_1m(n - 5, 4, 5))
-    if (a, b) == (5, 6):
-        return (5, 2, 4, 1, 3) + reverse_seq(_path_1m(n - 5, 3, 5))
-    raise AssertionError(f"unhandled endpoint pair ({a}, {b}) at order {n}")
+        # Mirror into the half where the left endpoint is the tighter one:
+        # build that pair's path with v written as n + 1 - v, then reverse it.
+        _ham_fill(out, n, n + 1 - b, n + 1 - a, n + 1, -1)
+        out.reverse()
+    else:
+        _ham_fill(out, n, a, b, 0, 1)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +255,7 @@ def hamilton_path(n: int, a: int, b: int) -> PathWitness:
         raise ValueError(f"bad endpoints ({a}, {b}) for order {n}")
     seq = _ham_seq(n, min(a, b), max(a, b))
     if a > b:
-        seq = reverse_seq(seq)
+        seq = seq[::-1]
     return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(a, b))
 
 

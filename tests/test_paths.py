@@ -13,10 +13,12 @@ from primediff.errors import Infeasible, NonEdge
 from primediff.graphs import Interval, PathWitness, verify_cycle, verify_path
 from primediff.oracle import brute_infeasible_pairs
 from primediff.primes import prime_flags
+from primediff.transforms import complement_seq, reverse_seq, shift_seq
 from primediff.paths import (
     EXCEPTION_PAIRS,
     ROWS,
     _ham_seq,
+    _path_1m,
     base_path_1_to_m,
     hamilton_cycle,
     hamilton_cycle_through_edge,
@@ -231,3 +233,47 @@ def test_construction_keeps_nothing_between_calls():
     assert kept < 1 << 20
     again = hamilton_path(n, a, b)
     assert hashlib.sha256(array("q", again.sequence)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(5, 61))
+def test_mirror_and_offset_are_affine(n):
+    # A pair past the mirror line is the mirrored, reversed path of its image,
+    # and a path built at offset k is the path from 1 shifted by k.
+    for a in range(1, n):
+        for b in range(max(a + 1, n + 2 - a), n + 1):
+            if (a, b) in EXCEPTION_PAIRS.get(n, ()):
+                continue
+            image = _ham_seq(n, n + 1 - b, n + 1 - a)
+            assert _ham_seq(n, a, b) == reverse_seq(complement_seq(image, 1, n)), (a, b)
+    for m in range(2, n + 1):
+        if n == 5 and m not in (3, 4):
+            continue
+        seq = _path_1m(n, m)
+        for k in (1, 7, 10**6):
+            assert _path_1m(n, m, k) == shift_seq(seq, k), (m, k)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: hamilton_path(n, n - 1_000, n - 10),
+        lambda n: hamilton_path(n, n - 10, n - 1_000),
+        lambda n: hamilton_cycle_through_edge(n, (n // 2, n // 2 + 7)),
+    ],
+    ids=["mirrored", "mirrored-reversed", "cycle-through-edge"],
+)
+def test_construction_peak_memory(build):
+    # Each vertex is written once: a tuple of n ints (36 bytes a vertex) plus
+    # the list it is built in and the certificate, not a second mirrored copy.
+    n = 10**5
+    prime_flags(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = build(n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(w.sequence) == n
+    assert peak <= 64 * n, peak / n
