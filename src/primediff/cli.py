@@ -7,13 +7,15 @@ with "ok": true, byte-stable for identical inputs.  Only the requested form
 is built.  Exit codes: 0 success; 1 for a domain error, whose class names
 its `code`, for running out of memory (`resource_limit`) and for a `verify`
 violation; 2 for a usage error.  Each failure but argparse's own prints
-{"error": code, "detail": {...}} on stderr.
+{"error": code, "detail": {...}} on stderr.  A reader that closes stdout
+early ends the run with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -215,7 +217,15 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    try:
+        status = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the
+        # interpreter's last flush of the buffered rest stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ else is left, a 3 paired with a 4 or with the smallest long part, a pair of
 4s, a 4 with the smallest long part, or a long part alone as a Hamilton
 cycle.  The pairings come from `_BLOCKS` when it holds them, else from a
 generic formula, and no step strands a remainder with no block of its own.
-Each piece is built in place at its offset k, as `_path_1m(n, m, k)` is;
-only the `_BLOCKS` rows, stored on [1, size], are shifted as they are read.
+Every piece is written once at its offset k: a stored vertex v becomes k + v,
+and a long cycle's path is appended by `paths._ham_fill` at the same offset.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import Infeasible
 from .graphs import Interval, TwoFactorWitness, certify
-from .paths import _path_1m
-from .transforms import shift_seq
+from .paths import _ham_fill
 
 # ---------------------------------------------------------------------------
 # Hand-built blocks.  _BLOCKS[lengths] lists cycles of those lengths covering
@@ -50,28 +49,39 @@ _BLOCKS: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
 _KEY_PARTS = max(map(len, _BLOCKS))  # longer remainders skip the lookup
 
 
-def _block(key: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...] | None:
-    """_BLOCKS[key] shifted onto [k+1, k+sum(key)], or None if it has no row."""
+# A long part beside a few short cycles.  _LONG[short] = (cycles, head, j, d,
+# m): the short cycles of lengths `short`, then a long cycle of length big
+# made of the head and the Hamilton path of [j+1, j+big-d] from j+1 to j+m,
+# together covering [1, sum(short) + big].
+_LONG: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, int, int]] = {
+    # big >= 9.  Triangle {1, 3, 6}; the long cycle runs 5, 2, 4, the 7 -> 8
+    # path of [7, 3 + big], and back to 5 (differences 3, 2, 3 and 3).
+    (3,): (((1, 3, 6),), (5, 2, 4), 6, 3, 2),
+    (4,): (((2, 5, 7, 4),), (6, 1, 3), 7, 3, 2),  # big >= 9
+    (3, 3): (((1, 3, 6), (2, 4, 7)), (5,), 7, 1, 3),  # big >= 6
+    # A long part alone: a 1 -> 4 path closed by the difference 3.
+    (): ((), (), 0, 0, 4),
+}
+
+
+def _block(out: list[tuple[int, ...]], key: tuple[int, ...], k: int) -> int | None:
+    """Append _BLOCKS[key] on [k+1, k+sum(key)] to out and return k + sum(key);
+    None, with nothing appended, if it has no row."""
     block = _BLOCKS.get(key)
-    return block and tuple(shift_seq(c, k) for c in block)
+    if block:
+        out += [tuple([k + v for v in c]) for c in block]
+        return k + sum(key)
 
 
-def _c3_with(big: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """{3, big} on [k+1, k+3+big], big >= 9."""
-    # Triangle on {1, 3, 6}; the long cycle threads the rest via a 7 -> 8
-    # Hamilton path of [7, 3 + big] closed through 5 and wrapped back to 2
-    # and 4 (differences 2, 3, and 8 - 5 = 3).
-    return ((k + 1, k + 3, k + 6), (k + 5, k + 2, k + 4) + _path_1m(big - 3, 2, k + 6))
-
-
-def _c4_with(big: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """{4, big} on [k+1, k+4+big], big >= 9."""
-    return ((k + 2, k + 5, k + 7, k + 4), (k + 6, k + 1, k + 3) + _path_1m(big - 3, 2, k + 7))
-
-
-def _two_c3_with(big: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """{3, 3, big} on [k+1, k+6+big], big >= 6."""
-    return ((k + 1, k + 3, k + 6), (k + 2, k + 4, k + 7), (k + 5,) + _path_1m(big - 1, 3, k + 7))
+def _long(out: list[tuple[int, ...]], short: tuple[int, ...], big: int, k: int) -> int:
+    """Append the `_LONG[short]` piece with long part big on [k+1, k+size] to
+    out and return k + size, where size = sum(short) + big."""
+    cycles, head, j, d, m = _LONG[short]
+    out += [tuple([k + v for v in c]) for c in cycles]
+    cycle = [k + v for v in head]
+    _ham_fill(cycle, big - d, 1, m, k + j, 1)
+    out.append(tuple(cycle))
+    return k + sum(short) + big
 
 
 # ---------------------------------------------------------------------------
@@ -120,50 +130,41 @@ def _realize(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
 
     cycles: list[tuple[int, ...]] = []
     k = 0  # vertices placed so far: the next piece starts at k + 1
-
-    def place(block: tuple[tuple[int, ...], ...]) -> None:
-        nonlocal k
-        cycles.extend(block)
-        k += sum(map(len, block))
-
     while threes or fours or big:
         if threes + fours + len(big) <= _KEY_PARTS:
-            block = _block((3,) * threes + (4,) * fours + tuple(reversed(big)), k)
-            if block:
-                place(block)
+            if _block(cycles, (3,) * threes + (4,) * fours + tuple(reversed(big)), k):
                 break
         if threes and fours:
-            place(_block((3, 4), k))
+            k = _block(cycles, (3, 4), k)
             threes -= 1
             fours -= 1
         elif threes and not big:
             take = 4 if threes % 3 else 3
-            place(_block((3,) * take, k))
+            k = _block(cycles, (3,) * take, k)
             threes -= take
         # Two or three 3s beside one long part end here: pairing a 3 with
         # the long part would strand the others.
         elif threes == 2 and len(big) == 1:
-            place(_two_c3_with(big.pop(), k))
+            k = _long(cycles, (3, 3), big.pop(), k)
             threes = 0
         elif threes == 3 and len(big) == 1:
-            place(_block((3, 3, 3), k))
+            k = _block(cycles, (3, 3, 3), k)
             threes = 0
         elif threes:
             x = big.pop()
-            place(_block((3, x), k) or _c3_with(x, k))
+            k = _block(cycles, (3, x), k) or _long(cycles, (3,), x, k)
             threes -= 1
         elif fours >= 2:
-            place(_block((4, 4), k))
+            k = _block(cycles, (4, 4), k)
             fours -= 2
         elif fours:
             # A lone 4 has a long part for company: a sum of 4 is no order.
             x = big.pop()
-            place(_block((4, x), k) or _c4_with(x, k))
+            k = _block(cycles, (4, x), k) or _long(cycles, (4,), x, k)
             fours = 0
         else:
-            # Each long part spans its own subinterval, a 1 -> 4 Hamilton
-            # path closed by the difference 3.
-            place((_path_1m(big.pop(), 4, k),))
+            # Each long part spans its own subinterval.
+            k = _long(cycles, (), big.pop(), k)
     return cycles
 
 

@@ -14,14 +14,15 @@ from .errors import Infeasible, NotFound
 from .graphs import CycleWitness, DisjointFamily, Interval, PathWitness, certify
 from .paths import hamilton_cycle
 from .primes import is_prime, prime_arithmetic_progression, prime_pair_decompositions
-from .transforms import complement_seq
 
 
-def _seq_diff23(n: int) -> tuple[int, ...]:
-    """The unchecked sequence of `path_diff23(n)`, for n >= 6."""
-    if n % 2 == 0:
-        return tuple(range(n, 5, -2)) + (3, 1, 4, 2) + tuple(range(5, n, 2))
-    return tuple(range(n, 4, -2)) + (2, 4, 1, 3) + tuple(range(6, n, 2))
+def _fill_diff23(out: list[int], n: int, k: int = 0, s: int = 1) -> None:
+    """Append the sequence of `path_diff23(n)`, n >= 6, writing vertex v as
+    k + s*v as `paths._ham_fill` does: a ramp, the elbow, a ramp."""
+    odd = n % 2
+    out += range(k + s * n, k + s * (5 - odd), -2 * s)
+    out += [k + s * v for v in ((2, 4, 1, 3) if odd else (3, 1, 4, 2))]
+    out += range(k + s * (5 + odd), k + s * n, 2 * s)
 
 
 def path_diff23(n: int) -> PathWitness:
@@ -32,22 +33,24 @@ def path_diff23(n: int) -> PathWitness:
     """
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
-    seq = _seq_diff23(n)
-    return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(n, n - 1), allowed_diffs={2, 3})
+    out: list[int] = []
+    _fill_diff23(out, n)
+    return certify(PathWitness(Interval(1, n), tuple(out)), expected_endpoints=(n, n - 1), allowed_diffs={2, 3})
 
 
 def _seq_cycle23(n: int) -> tuple[int, ...]:
     """The unchecked sequence of `cycle_diff23(n)`, for n = 5 and n >= 10."""
     if n == 5:
         return (1, 4, 2, 5, 3)
-    # Glue two difference-{2,3} paths: one on [1, h+1] from h+1 to h, one on
-    # [h, n] from n down to n-1 complemented to run h -> h+1; the junction
-    # differences are |h+1 - h| mates already inside the two sequences, and
-    # the seam edges are h+1..(second path start) and (second path end)..h+1.
+    # The path of [1, h+1] from h+1 to h, then the path of [1, n-h+1]
+    # mirrored onto [h, n], h -> h+1, less the two ends it repeats: both
+    # seams (h onward, and back to h+1) are edges of the mirrored path.
     h = n // 2
-    a_part = _seq_diff23(h + 1)
-    b_part = complement_seq(_seq_diff23(n - h + 1), 1, n)  # h -> h+1 on [h, n]
-    return a_part + b_part[1:-1]
+    out: list[int] = []
+    _fill_diff23(out, h + 1)
+    _fill_diff23(out, n - h + 1, n + 1, -1)
+    del out[h + 1], out[-1]
+    return tuple(out)
 
 
 def cycle_diff23(n: int) -> CycleWitness:

@@ -18,16 +18,14 @@ DEFAULT_MAX_ORDER = 22
 ENV_MAX_ORDER = "ORACLE_MAX_ORDER"
 
 
-def _general_cap(max_order: int | None) -> int:
-    if max_order is not None:
-        return max_order
-    env = os.environ.get(ENV_MAX_ORDER)
-    return int(env) if env else DEFAULT_MAX_ORDER
-
-
-def _guard(order: int, cap: int) -> None:
-    if order > cap:
-        raise OrderCapExceeded(order, cap)
+def _guard(order: int, max_order: int | None) -> None:
+    """Refuse an order above the cap: `max_order`, else the ORACLE_MAX_ORDER
+    environment variable, else DEFAULT_MAX_ORDER."""
+    if max_order is None:
+        env = os.environ.get(ENV_MAX_ORDER)
+        max_order = int(env) if env else DEFAULT_MAX_ORDER
+    if order > max_order:
+        raise OrderCapExceeded(order, max_order)
 
 
 def _adjacency(verts: list[int], allowed=None) -> list[list[int]]:
@@ -144,8 +142,7 @@ def brute_hamilton_path(
     every such path, so neither takes a mask bit: masks name only the m - 2
     interior vertices.
     """
-    cap = _general_cap(max_order)
-    _guard(interval.order, cap)
+    _guard(interval.order, max_order)
     a, b = endpoints
     verts = list(interval.vertices())
     if a not in interval.vertices() or b not in interval.vertices() or a == b:
@@ -170,8 +167,7 @@ def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    cap = _general_cap(max_order)
-    _guard(n, cap)
+    _guard(n, max_order)
     verts = list(range(1, n + 1))
     adj = _adjacency(verts)
     without = _without(n - 1)
@@ -188,8 +184,7 @@ def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) ->
     """Backtracking search: can [1, n] be covered by disjoint cycles of the
     given lengths?  Each cycle is anchored at the smallest vertex it contains,
     with a fixed orientation, so no arrangement is tried twice."""
-    cap = _general_cap(max_order)
-    _guard(n, cap)
+    _guard(n, max_order)
     lengths = sorted(lengths)
     if any(L < 3 for L in lengths) or sum(lengths) != n:
         raise ValueError(f"bad length multiset {lengths} for n={n}")
@@ -251,8 +246,7 @@ def brute_diff_restricted_cycle(
     The least such walk already has its second vertex below its last, since
     otherwise its reversal would be smaller.
     """
-    cap = _general_cap(max_order)
-    _guard(n, cap)
+    _guard(n, max_order)
     if n < 3:
         return None
     adj = _adjacency(list(range(1, n + 1)), frozenset(allowed))

@@ -2,8 +2,8 @@
 
 Complement mirrors an interval onto itself (v -> lo + hi - v), shift moves it
 (v -> v + k), both preserving all differences; reversal flips traversal
-order.  The sequence moves are what the constructions are built from; the
-witness moves apply them so interval bookkeeping travels with the vertices.
+order.  The witness moves apply them so interval bookkeeping travels with the
+vertices; the constructions write v as k + s*v instead and never call here.
 """
 
 from __future__ import annotations

@@ -3,13 +3,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import primediff
 from primediff.cli import run
 from primediff.factors import two_factor
 from primediff.generators import edge_disjoint_cycles
-from primediff.graphs import NOT_PERMUTATION, TwoFactorWitness, Verdict
+from primediff.graphs import NOT_PERMUTATION, TwoFactorWitness, Verdict, witness_to_json
 from primediff.paths import hamilton_cycle_through_edge, hamilton_path
 
 
@@ -162,6 +167,33 @@ def test_memory_error_is_resource_limit(capsys, monkeypatch):
         "error": "resource_limit",
         "detail": {"message": "oracle-path: out of memory"},
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("path", "100000", "1", "2"), ("path", "100000", "1", "2", "--json"), ("verify", "--json")],
+    ids=" ".join,
+)
+def test_closed_stdout_ends_quietly(argv):
+    # A console run whose reader takes a few bytes of a 10^5-vertex witness
+    # and closes the pipe while the command is still writing.
+    src = str(Path(primediff.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primediff.cli", *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if argv[0] == "verify":
+        proc.stdin.write(json.dumps(witness_to_json(hamilton_path(100000, 1, 2))).encode())
+    proc.stdin.close()
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_oracle_path_command(capsys):

@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primediff.errors import Infeasible
-from primediff.factors import enumerate_specs, two_factor
+from primediff.factors import _BLOCKS, enumerate_specs, two_factor
 from primediff.graphs import verify_two_factor
 from primediff.oracle import brute_two_factor_exists
+from primediff.paths import _path_1m
 from primediff.primes import prime_flags
 
 
@@ -136,6 +137,48 @@ def test_realize_builds_each_piece_in_place():
         tracemalloc.stop()
     assert w.interval.order == n
     assert peak < 1.4 * size, f"peak {peak} bytes for a {size}-byte result"
+
+
+def _concatenated_pieces(short, x, k):
+    """The cycles of a long part x beside the short cycles `short` at offset
+    k, as head + path tuples: the formulas the table rows must reproduce."""
+    if short == (3,):
+        return ((k + 1, k + 3, k + 6), (k + 5, k + 2, k + 4) + _path_1m(x - 3, 2, k + 6))
+    if short == (4,):
+        return ((k + 2, k + 5, k + 7, k + 4), (k + 6, k + 1, k + 3) + _path_1m(x - 3, 2, k + 7))
+    if short == (3, 3):
+        return ((k + 1, k + 3, k + 6), (k + 2, k + 4, k + 7), (k + 5,) + _path_1m(x - 1, 3, k + 7))
+    return (_path_1m(x, 4, k),)
+
+
+# For each piece: a prefix spec that is placed first, its cycles, and the
+# least x for which the piece follows it.
+_PIECE_PREFIXES = {
+    (3,): ((3, 4), _BLOCKS[3, 4], 9),
+    (4,): ((4, 4), _BLOCKS[4, 4], 9),
+    (3, 3): ((3, 4), _BLOCKS[3, 4], 6),
+    (): ((5,), (_path_1m(5, 4),), 5),
+}
+
+
+@pytest.mark.parametrize("short", list(_PIECE_PREFIXES), ids=str)
+def test_long_part_pieces_match_the_concatenated_formulas(short):
+    # The specs (3, x), (4, x), (3, 3, x) and (x,) for every valid x up to
+    # 300 (a stored block where one exists), and each piece again at the
+    # offset k of a prefix placed before it.
+    for x in range(3, 301):
+        spec = tuple(sorted(short + (x,)))
+        n = sum(spec)
+        if n < 5 or (n <= 6 and len(spec) > 1):
+            continue
+        expected = _BLOCKS.get(spec) or _concatenated_pieces(short, x, 0)
+        assert two_factor(n, spec).cycles == expected, spec
+    prefix, prefix_cycles, low = _PIECE_PREFIXES[short]
+    k = sum(prefix)
+    for x in range(low, 301):
+        spec = tuple(sorted(prefix + short + (x,)))
+        expected = prefix_cycles + _concatenated_pieces(short, x, k)
+        assert two_factor(sum(spec), spec).cycles == expected, spec
 
 
 _LARGE_MIXED_SPECS = [

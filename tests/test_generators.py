@@ -15,6 +15,7 @@ from primediff.generators import (
 from primediff.graphs import canonical_cycle, verify_cycle, verify_edge_disjoint, verify_path
 from primediff.oracle import brute_diff_restricted_cycle
 from primediff.primes import prime_pair_decompositions
+from primediff.transforms import complement_seq
 
 
 def test_path_diff23_goldens():
@@ -54,6 +55,25 @@ def test_cycle_diff23_matches_oracle_on_small_orders():
 @given(st.integers(min_value=10, max_value=600))
 def test_cycle_diff23_property(n):
     assert verify_cycle(cycle_diff23(n), allowed_diffs={2, 3})
+
+
+def _concatenated_diff23(n):
+    """The {2, 3} path of [1, n] as ramp + elbow + ramp tuples."""
+    if n % 2 == 0:
+        return tuple(range(n, 5, -2)) + (3, 1, 4, 2) + tuple(range(5, n, 2))
+    return tuple(range(n, 4, -2)) + (2, 4, 1, 3) + tuple(range(6, n, 2))
+
+
+def test_diff23_builders_match_the_concatenated_formulas():
+    # The path, and the cycle glued from the path on [1, h + 1] and the
+    # complement of the path on [h, n] without its two ends.
+    for n in [*range(6, 601), 10**5, 10**5 + 1]:
+        assert path_diff23(n).sequence == _concatenated_diff23(n), n
+    assert cycle_diff23(5).sequence == (1, 4, 2, 5, 3)
+    for n in [*range(10, 601), 10**5, 10**5 + 1]:
+        h = n // 2
+        right = complement_seq(_concatenated_diff23(n - h + 1), 1, n)
+        assert cycle_diff23(n).sequence == _concatenated_diff23(h + 1) + right[1:-1], n
 
 
 def test_two_prime_golden():
