@@ -4,6 +4,13 @@ Deliberately independent: nothing here calls the constructive modules, only
 the shared witness types and verifiers.  Every search is capped; the cap is
 configuration (argument or ORACLE_MAX_ORDER environment variable), never a
 silent truncation.
+
+A path query between two fixed endpoints runs a depth-first search with a
+memo of failed states (`_least_path`): these graphs almost always have the
+path, and the search finds it with little backtracking.  The infeasible-pair
+and difference-restricted cycle searches, whose queries mostly have no
+answer, run a bit-parallel subset DP over every mask at once (`_reach_sets`,
+read off by `_greedy_walk`).
 """
 
 from __future__ import annotations
@@ -125,6 +132,38 @@ def _greedy_walk(adj: list[list[int]], reach: list[int], start: int, end: int) -
         rest ^= 1 << bits.index(cur)
 
 
+def _least_path(adj: list[list[int]], start: int, end: int) -> list[int] | None:
+    """Least Hamilton path from index `start` to index `end` (start != end)
+    in adj order, in `_greedy_walk`'s form and with its answer.
+
+    Depth-first search on an explicit stack that tries neighbors in adj
+    order, so its first complete path is the least.  A state is the mask of
+    visited indices and the current index; once every extension of a state
+    has failed, the state goes into `failed` and is never entered again.  So
+    the search meets at most the DP's states, and holds only the failed ones.
+    """
+    full = (1 << len(adj)) - 1
+    failed: set[tuple[int, int]] = set()
+    path = [start]
+    mask = 1 << start
+    stack = [iter(adj[start])]
+    while stack:
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
+            v = path.pop()
+            failed.add((mask, v))
+            mask ^= 1 << v
+        elif u == end:
+            if mask | 1 << u == full:
+                return path[1:] + [end]
+        elif not mask >> u & 1 and (mask | 1 << u, u) not in failed:
+            mask |= 1 << u
+            path.append(u)
+            stack.append(iter(adj[u]))
+    return None
+
+
 def brute_hamilton_path(
     interval: Interval,
     endpoints: tuple[int, int],
@@ -132,15 +171,12 @@ def brute_hamilton_path(
     max_order: int | None = None,
     prefer: str = "min",
 ) -> PathWitness | None:
-    """Subset-DP search for a Hamilton path between fixed endpoints.
+    """Exhaustive search for a Hamilton path between fixed endpoints.
 
-    Returns a witness or None.  The witness walk is deterministic: from the
-    start vertex it always takes the smallest viable successor ("min"), or the
-    largest with prefer="max"; existence does not depend on that choice.
-    A successor u is viable iff bit `rest` of the reach set S[u] is set,
-    where `rest` holds the vertices not visited yet.  Both endpoints lie on
-    every such path, so neither takes a mask bit: masks name only the m - 2
-    interior vertices.
+    Returns a witness or None.  The witness is the lexicographically least
+    such path ("min"), or the greatest with prefer="max"; existence does not
+    depend on that choice.  The search is `_least_path` on neighbor lists
+    in ascending ("min") or descending ("max") order.
     """
     _guard(interval.order, max_order)
     a, b = endpoints
@@ -153,7 +189,7 @@ def brute_hamilton_path(
     adj = _adjacency(verts)
     if prefer == "max":
         adj = [nbrs[::-1] for nbrs in adj]
-    walk = _greedy_walk(adj, _reach_sets(adj, ai, bi), ai, bi)
+    walk = _least_path(adj, ai, bi)
     return None if walk is None else PathWitness(interval, (a, *(verts[i] for i in walk)))
 
 
@@ -240,8 +276,8 @@ def brute_diff_restricted_cycle(
     """Lexicographically least Hamilton cycle of [1, n], read from 1, whose
     differences all lie in `allowed` (non-primes in it never count), or None.
 
-    The same reach-set DP as the path search, with start and end vertex 1,
-    the one vertex that takes no mask bit: the walk from 1 covers every
+    The reach-set DP of `brute_infeasible_pairs`, with start and end vertex
+    1, the one vertex that takes no mask bit: the walk from 1 covers every
     vertex and returns to 1, and the return is dropped.
     The least such walk already has its second vertex below its last, since
     otherwise its reversal would be smaller.

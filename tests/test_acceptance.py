@@ -118,18 +118,23 @@ def test_criterion_2_oracle_finds_no_infeasible_pair():
 
 
 def test_criterion_2_oracle_agrees_past_the_default_cap():
-    # Orders 23 and 24, above the oracle's default cap: on six fixed pairs
-    # each, the constructor and the exhaustive search both give a path.
+    # Orders 23-30, above the oracle's default cap: on every pair a < b, the
+    # constructor and the exhaustive search both give a path.
     t0 = time.perf_counter()
     disagreements = []
-    for n in (23, 24):
-        for a, b in ((1, 2), (1, n), (2, 3), (5, 17), (n // 2, n // 2 + 1), (n - 4, n)):
-            w = brute_hamilton_path(Interval(1, n), (a, b), max_order=24)
-            if not (w is not None and verify_path(w, (a, b)) and verify_path(hamilton_path(n, a, b), (a, b))):
-                disagreements.append((n, a, b))
-    _report(2, not disagreements, f"oracle agrees with the constructor on 12 pairs at orders 23-24, "
-            f"{len(disagreements)} disagreements", time.perf_counter() - t0)
+    pairs = 0
+    for n in range(23, 31):
+        for a in range(1, n):
+            for b in range(a + 1, n + 1):
+                pairs += 1
+                w = brute_hamilton_path(Interval(1, n), (a, b), max_order=30)
+                if not (w is not None and verify_path(w, (a, b)) and verify_path(hamilton_path(n, a, b), (a, b))):
+                    disagreements.append((n, a, b))
+    elapsed = time.perf_counter() - t0
+    _report(2, not disagreements, f"oracle agrees with the constructor on {pairs} pairs at orders 23-30, "
+            f"{len(disagreements)} disagreements", elapsed)
     assert not disagreements, disagreements
+    assert elapsed < 3.0, f"took {elapsed:.2f}s, bound is 3s"
 
 
 def test_criterion_3_golden_rows():

@@ -173,8 +173,8 @@ def test_two_differences_give_a_cycle_only_with_2_or_3():
 
 
 def test_path_search_peak_memory():
-    # Reach sets of 2^(m-1) bits: about 2.7 MB at order 20, against 5.6 MB
-    # when every mask also held a bit for the end vertex.
+    # The depth-first search holds its path, its stack and the states that
+    # failed: a few KiB at order 20.
     iv = Interval(1, 20)
     prime_flags(iv.order)
     tracemalloc.start()
@@ -188,8 +188,8 @@ def test_path_search_peak_memory():
 
 
 def test_order_22_path_search_peak_memory():
-    # Neither endpoint takes a mask bit, so reach sets have 2^(m-2) bits:
-    # about 5.7 MB at order 22, against 12.0 MB when the start held one.
+    # A few KiB at order 22 as well: the search's memory follows the failed
+    # states it meets, not the 2^(m-2) masks a subset DP would hold.
     iv = Interval(1, 22)
     prime_flags(iv.order)
     tracemalloc.start()
@@ -200,6 +200,59 @@ def test_order_22_path_search_peak_memory():
         tracemalloc.stop()
     assert w is not None and verify_path(w, (3, 19))
     assert peak < 8 << 20, f"{peak} bytes"
+
+
+def test_order_30_path_search_peak_memory():
+    # Past the default cap, where subset-DP reach sets would take about
+    # m * 2^(m-2) / 4 bytes (2 GB), the failed states stay in tens of KiB.
+    iv = Interval(1, 30)
+    prime_flags(iv.order)
+    tracemalloc.start()
+    try:
+        w = brute_hamilton_path(iv, (1, 2), max_order=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and verify_path(w, (1, 2))
+    assert peak < 1 << 20, f"{peak} bytes"
+
+
+def test_path_search_matches_the_dp_walk():
+    # The depth-first search and the subset DP's greedy walk both give the
+    # least path in adjacency order: the same witness, or None, for every
+    # ordered pair and both preferences at orders 2-16 and on a shifted
+    # interval.
+    t0 = time.perf_counter()
+    for iv in [Interval(1, n) for n in range(2, 17)] + [Interval(4, 15)]:
+        verts = list(iv.vertices())
+        adj = oracle._adjacency(verts)
+        for prefer, nbrs in (("min", adj), ("max", [row[::-1] for row in adj])):
+            for s, e in itertools.permutations(range(len(verts)), 2):
+                walk = oracle._greedy_walk(nbrs, oracle._reach_sets(nbrs, s, e), s, e)
+                want = None if walk is None else (verts[s], *(verts[i] for i in walk))
+                w = brute_hamilton_path(iv, (verts[s], verts[e]), prefer=prefer)
+                assert (None if w is None else w.sequence) == want, (iv, verts[s], verts[e], prefer)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0, f"took {elapsed:.2f}s, bound is 3s"
+
+
+def test_path_search_enters_no_failed_state_again():
+    # No path of odd steps runs from 1 to 2 at odd order 17: such a path
+    # alternates parities, so both of its ends are odd.  The search has to
+    # rule out every state, and its memo keeps it within the m * 2^(m-2)
+    # states the subset DP would hold (it enters about 32 K); without the
+    # memo it enters 1.6 M.
+    entered = []
+
+    class Row(list):
+        def __iter__(self):
+            entered.append(None)
+            return super().__iter__()
+
+    m = 17
+    adj = [Row(row) for row in oracle._adjacency(list(range(1, m + 1)), frozenset({3, 5, 7, 11, 13}))]
+    assert oracle._least_path(adj, 0, 1) is None
+    assert len(entered) <= m << (m - 2), len(entered)
 
 
 def _sampled_lines():
