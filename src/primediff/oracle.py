@@ -5,12 +5,12 @@ the shared witness types and verifiers.  Every search is capped; the cap is
 configuration (argument or ORACLE_MAX_ORDER environment variable), never a
 silent truncation.
 
-A path query between two fixed endpoints runs a depth-first search with a
-memo of failed states (`_least_path`): these graphs almost always have the
-path, and the search finds it with little backtracking.  The infeasible-pair
-and difference-restricted cycle searches, whose queries mostly have no
-answer, run a bit-parallel subset DP over every mask at once (`_reach_sets`,
-read off by `_greedy_walk`).
+Every query between two fixed endpoints, a path query or an infeasible
+pair, runs a depth-first search with a memo of failed states
+(`_least_path`): these graphs almost always have the path, and the search
+finds it with little backtracking.  Only the difference-restricted cycle
+search, whose queries mostly have no answer, runs a bit-parallel subset DP
+over every mask at once (`_reach_sets`, read off by `_greedy_walk`).
 """
 
 from __future__ import annotations
@@ -59,18 +59,13 @@ def _masks_without(b: int, m: int) -> int:
     return int.from_bytes(unit * (nbytes // len(unit)), "little")
 
 
-def _without(k: int) -> list[int]:
-    """`_masks_without` of each of the k mask bits of a search."""
-    return [_masks_without(b, k) for b in range(k)]
-
-
 def _bits(m: int, start: int, end: int) -> list[int]:
     """The vertex indices that take a mask bit, in bit order: all but `start`
-    and `end` (start == end for a cycle or an infeasible-pair end)."""
+    and `end` (start == end for a cycle)."""
     return [v for v in range(m) if v != start and v != end]
 
 
-def _reach_sets(adj: list[list[int]], start: int, end: int, without: list[int] | None = None) -> list[int]:
+def _reach_sets(adj: list[list[int]], start: int, end: int) -> list[int]:
     """S[v] is a 2^k-bit int over the k = len(_bits(m, start, end)) mask
     bits: bit `mask` is set iff some path v -> end covers exactly end and the
     vertices whose bits are in mask.
@@ -81,11 +76,9 @@ def _reach_sets(adj: list[list[int]], start: int, end: int, without: list[int] |
     Bit-parallel Held-Karp: one relaxation extends every path of every mask
     at once, S[v] = (OR of S[u] over neighbors u, restricted to masks without
     bit(v)) << 2^bit(v), repeated until nothing changes (at most m rounds).
-    `without` is `_without(k)`, passed in when several queries share it.
     """
     bits = _bits(len(adj), start, end)
-    if without is None:
-        without = _without(len(bits))
+    without = [_masks_without(b, len(bits)) for b in range(len(bits))]
     reach = [0] * len(adj)
     reach[end] = 1
     changed = True
@@ -196,24 +189,14 @@ def brute_hamilton_path(
 def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple[int, int]]:
     """All endpoint pairs (a < b) of [1, n] with no Hamilton path between them.
 
-    The complement v -> n+1-v is an automorphism, and every pair (a, b) is
-    equivalent to (n+1-b, n+1-a), one of which has an end <= n/2; so only
-    those ends are searched.  One DP per end answers every start at once, so
-    only the end takes no mask bit.
+    `_least_path` runs on each pair in turn, all on one adjacency; the pairs
+    where it finds no path are the answer.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     _guard(n, max_order)
-    verts = list(range(1, n + 1))
-    adj = _adjacency(verts)
-    without = _without(n - 1)
-    out = set()
-    for e in range(1, n // 2 + 1):
-        for i, r in enumerate(_reach_sets(adj, e - 1, e - 1, without)):
-            if i != e - 1 and r.bit_length() != 1 << (n - 1):
-                a, b = sorted((e, i + 1))
-                out.update({(a, b), (n + 1 - b, n + 1 - a)})
-    return out
+    adj = _adjacency(list(range(1, n + 1)))
+    return {(a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if _least_path(adj, a, b) is None}
 
 
 def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) -> bool:
@@ -276,9 +259,9 @@ def brute_diff_restricted_cycle(
     """Lexicographically least Hamilton cycle of [1, n], read from 1, whose
     differences all lie in `allowed` (non-primes in it never count), or None.
 
-    The reach-set DP of `brute_infeasible_pairs`, with start and end vertex
-    1, the one vertex that takes no mask bit: the walk from 1 covers every
-    vertex and returns to 1, and the return is dropped.
+    The reach-set DP (`_reach_sets`) with start and end vertex 1, the one
+    vertex that takes no mask bit, read off by `_greedy_walk`: the walk from
+    1 covers every vertex and returns to 1, and the return is dropped.
     The least such walk already has its second vertex below its last, since
     otherwise its reversal would be smaller.
     """

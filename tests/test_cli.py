@@ -209,22 +209,31 @@ def test_oracle_path_command(capsys):
     assert code == 0 and len(out.split()) == 23
 
 
-def test_oracle_path_past_the_cap_in_bounded_memory(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle-path", "30", "1", "2"], ["exceptions", "30", "--oracle"]],
+    ids=["oracle-path", "exceptions"],
+)
+def test_oracle_path_past_the_cap_in_bounded_memory(capsys, monkeypatch, argv):
     # Order 30 in a child process limited to 256 MiB of address space.  A
-    # subset DP, with reach sets of 2^28 bits per vertex, would need about
-    # 2 GB and end in `resource_limit`; the path search needs a few KiB.
+    # subset DP, with reach sets of 2^28 or 2^29 bits per vertex, would need
+    # 2 to 4 GB and end in `resource_limit`; the path search, one endpoint
+    # pair at a time for the infeasible pairs, needs a few KiB.
     resource = pytest.importorskip("resource")
     limit = 256 << 20
     src = str(Path(primediff.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "primediff.cli", "oracle-path", "30", "1", "2", "--max-order", "40", "--json"],
+        [sys.executable, "-m", "primediff.cli", *argv, "--max-order", "40", "--json"],
         capture_output=True,
         env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    if argv[0] == "exceptions":
+        assert proc.stdout == b'{"ok":true,"pairs":[]}\n'
+        return
     feed(monkeypatch, proc.stdout.decode())
     code, out, _ = invoke(capsys, "verify")
     assert code == 0 and out == "ok\n"

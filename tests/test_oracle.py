@@ -236,6 +236,23 @@ def test_path_search_matches_the_dp_walk():
     assert elapsed < 3.0, f"took {elapsed:.2f}s, bound is 3s"
 
 
+def test_infeasible_pairs_match_the_dp_read_off():
+    # The subset DP anchored at one end e answers every start at once: (i, e)
+    # has a Hamilton path iff the reach set of i holds the full mask.  The
+    # per-pair path search must give the same sets at orders 0-20.
+    t0 = time.perf_counter()
+    for n in range(21):
+        adj = oracle._adjacency(list(range(1, n + 1)))
+        want = set()
+        for e in range(n):
+            for i, r in enumerate(oracle._reach_sets(adj, e, e)):
+                if i != e and r.bit_length() != 1 << (n - 1):
+                    want.add((min(i, e) + 1, max(i, e) + 1))
+        assert brute_infeasible_pairs(n) == want, n
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0, f"took {elapsed:.2f}s, bound is 3s"
+
+
 def test_path_search_enters_no_failed_state_again():
     # No path of odd steps runs from 1 to 2 at odd order 17: such a path
     # alternates parities, so both of its ends are odd.  The search has to
