@@ -87,7 +87,7 @@ def _long(out: list[tuple[int, ...]], short: tuple[int, ...], big: int, k: int) 
 # ---------------------------------------------------------------------------
 
 
-def enumerate_specs(n: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_specs(n: int) -> Iterator[tuple[int, ...]]:
     """All multisets of parts >= 3 summing to n, ascending within each.
 
     Ordered by part count, then lexicographically.
@@ -104,10 +104,7 @@ def enumerate_specs(n: int, max_parts: int | None = None) -> Iterator[tuple[int,
             for rest in ascending(total - first, k - 1, first):
                 yield (first, *rest)
 
-    top = n // 3
-    if max_parts is not None:
-        top = min(top, max_parts)
-    for k in range(1, top + 1):
+    for k in range(1, n // 3 + 1):
         yield from ascending(n, k, 3)
 
 

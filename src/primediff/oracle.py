@@ -5,12 +5,11 @@ the shared witness types and verifiers.  Every search is capped; the cap is
 configuration (argument or ORACLE_MAX_ORDER environment variable), never a
 silent truncation.
 
-Every query between two fixed endpoints, a path query or an infeasible
-pair, runs a depth-first search with a memo of failed states
-(`_least_path`): these graphs almost always have the path, and the search
-finds it with little backtracking.  Only the difference-restricted cycle
-search, whose queries mostly have no answer, runs a bit-parallel subset DP
-over every mask at once (`_reach_sets`, read off by `_greedy_walk`).
+Every witness comes from one depth-first search with a memo of failed
+states (`_least_path`), which finds a path with little backtracking when
+there is one.  Restricted-cycle queries mostly have none, so a bit-parallel
+subset DP over every mask at once (`_reach_sets`) first decides whether the
+cycle exists.
 """
 
 from __future__ import annotations
@@ -59,32 +58,26 @@ def _masks_without(b: int, m: int) -> int:
     return int.from_bytes(unit * (nbytes // len(unit)), "little")
 
 
-def _bits(m: int, start: int, end: int) -> list[int]:
-    """The vertex indices that take a mask bit, in bit order: all but `start`
-    and `end` (start == end for a cycle)."""
-    return [v for v in range(m) if v != start and v != end]
+def _reach_sets(adj: list[list[int]]) -> list[int]:
+    """S[v] is a 2^(m-1)-bit int over m - 1 mask bits, m = len(adj), one for
+    each index v > 0 (bit v - 1): bit `mask` is set iff some path v -> 0
+    covers exactly 0 and the vertices whose bits are in mask.
 
-
-def _reach_sets(adj: list[list[int]], start: int, end: int) -> list[int]:
-    """S[v] is a 2^k-bit int over the k = len(_bits(m, start, end)) mask
-    bits: bit `mask` is set iff some path v -> end covers exactly end and the
-    vertices whose bits are in mask.
-
-    Every path the query needs runs from start to end, so neither takes a
-    mask bit: S[end] = 1 is the empty mask, and S[start] stays 0 when start
-    != end, so no path passes through start.
+    Anchored at index 0, which takes no mask bit: S[0] = 1 is the empty
+    mask.  A Hamilton cycle through 0 exists iff some neighbor u of 0 has the
+    full mask in S[u].
     Bit-parallel Held-Karp: one relaxation extends every path of every mask
     at once, S[v] = (OR of S[u] over neighbors u, restricted to masks without
     bit(v)) << 2^bit(v), repeated until nothing changes (at most m rounds).
     """
-    bits = _bits(len(adj), start, end)
-    without = [_masks_without(b, len(bits)) for b in range(len(bits))]
+    k = len(adj) - 1
+    without = [_masks_without(b, k) for b in range(k)]
     reach = [0] * len(adj)
-    reach[end] = 1
+    reach[0] = 1
     changed = True
     while changed:
         changed = False
-        for b, v in enumerate(bits):
+        for b, v in enumerate(range(1, len(adj))):
             acc = 0
             for u in adj[v]:
                 acc |= reach[u]
@@ -95,39 +88,11 @@ def _reach_sets(adj: list[list[int]], start: int, end: int) -> list[int]:
     return reach
 
 
-def _greedy_walk(adj: list[list[int]], reach: list[int], start: int, end: int) -> list[int] | None:
-    """Greedy walk from index `start` over every other index, onto `end`
-    (start == end for a cycle), on the reach sets of `_reach_sets(adj,
-    start, end)`.
-
-    `rest` holds the mask bits of the indices not visited yet; it starts
-    full, since start takes no bit.  Each step takes the first neighbor u,
-    in adj order, whose reach set S[u] holds bit `rest`, then drops bit(u)
-    from `rest`; so the walk is the least path in adj order.  Returns the
-    indices after `start`, `end` last, or None when no first step exists (no
-    such path).
-    """
-    bits = _bits(len(adj), start, end)
-    nbytes = ((1 << len(bits)) + 7) // 8
-    view = [r.to_bytes(nbytes, "little") for r in reach]
-    rest = (1 << len(bits)) - 1
-    out: list[int] = []
-    cur = start
-    while True:
-        byte, b = rest >> 3, rest & 7
-        cur = next((u for u in adj[cur] if view[u][byte] >> b & 1), None)
-        if cur is None:
-            assert not out, "reachability DP must admit a successor"
-            return None
-        out.append(cur)
-        if cur == end:
-            return out
-        rest ^= 1 << bits.index(cur)
-
-
 def _least_path(adj: list[list[int]], start: int, end: int) -> list[int] | None:
-    """Least Hamilton path from index `start` to index `end` (start != end)
-    in adj order, in `_greedy_walk`'s form and with its answer.
+    """Least Hamilton path from index `start` to index `end` in adj order:
+    the indices after `start`, `end` last, or None.  With start == end it is
+    the least Hamilton cycle through start: start is visited from the outset,
+    so the search re-enters it only once every index is visited.
 
     Depth-first search on an explicit stack that tries neighbors in adj
     order, so its first complete path is the least.  A state is the mask of
@@ -259,15 +224,18 @@ def brute_diff_restricted_cycle(
     """Lexicographically least Hamilton cycle of [1, n], read from 1, whose
     differences all lie in `allowed` (non-primes in it never count), or None.
 
-    The reach-set DP (`_reach_sets`) with start and end vertex 1, the one
-    vertex that takes no mask bit, read off by `_greedy_walk`: the walk from
-    1 covers every vertex and returns to 1, and the return is dropped.
-    The least such walk already has its second vertex below its last, since
-    otherwise its reversal would be smaller.
+    The reach-set DP (`_reach_sets`, anchored at vertex 1) decides whether
+    the cycle exists: some neighbor of 1 must reach 1 over every vertex.
+    Only then does `_least_path` from 1 back to 1 build it, and the return
+    to 1 is dropped.  The least such cycle already has its second vertex
+    below its last, since otherwise its reversal would be smaller.
     """
     _guard(n, max_order)
     if n < 3:
         return None
     adj = _adjacency(list(range(1, n + 1)), frozenset(allowed))
-    walk = _greedy_walk(adj, _reach_sets(adj, 0, 0), 0, 0)
-    return None if walk is None else CycleWitness(Interval(1, n), (1, *(i + 1 for i in walk[:-1])))
+    reach = _reach_sets(adj)
+    if all(reach[u].bit_length() != 1 << (n - 1) for u in adj[0]):
+        return None
+    walk = _least_path(adj, 0, 0)
+    return CycleWitness(Interval(1, n), (1, *(i + 1 for i in walk[:-1])))
