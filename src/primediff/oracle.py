@@ -7,9 +7,11 @@ silent truncation.
 
 Every witness comes from one depth-first search with a memo of failed
 states (`_least_path`), which finds a path with little backtracking when
-there is one.  Restricted-cycle queries mostly have none, so a bit-parallel
-subset DP over every mask at once (`_reach_sets`) first decides whether the
-cycle exists.
+there is one.  Infeasible pairs need it about once per start: each path
+found is closed under Posa rotations (Posa, Discrete Math. 14, 1976) and
+the answer under the mirror v -> n + 1 - v.  Restricted-cycle queries mostly
+have no cycle, so a bit-parallel subset DP over every mask at once
+(`_reach_sets`) first decides whether the cycle exists.
 """
 
 from __future__ import annotations
@@ -151,17 +153,53 @@ def brute_hamilton_path(
     return None if walk is None else PathWitness(interval, (a, *(verts[i] for i in walk)))
 
 
+def _rotated_ends(path: list[int], flags) -> set[int]:
+    """Every end that Posa rotations reach from a Hamilton path, path[0] kept.
+
+    If path[i] is adjacent to the end z and i < len(path) - 2, then
+    path[:i+1] + path[:i:-1] is a Hamilton path from path[0] to path[i+1].
+    Each new end is reached by one path, and that path is rotated in turn.
+    """
+    ends = {path[-1]}
+    todo = [path]
+    while todo:
+        p = todo.pop()
+        z = p[-1]
+        for i in range(len(p) - 2):
+            if flags[abs(p[i] - z)] and p[i + 1] not in ends:
+                ends.add(p[i + 1])
+                todo.append(p[: i + 1] + p[:i:-1])
+    return ends
+
+
 def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple[int, int]]:
     """All endpoint pairs (a < b) of [1, n] with no Hamilton path between them.
 
-    `_least_path` runs on each pair in turn, all on one adjacency; the pairs
-    where it finds no path are the answer.
+    The map v -> n + 1 - v keeps every difference, so (a, b) is infeasible
+    exactly when (n + 1 - b, n + 1 - a) is: only pairs with a + b <= n + 1
+    are searched, and the answer is closed under the mirror.  From each
+    start, `_least_path` runs only on an end that no earlier path from that
+    start has reached; every path found is closed under Posa rotations
+    (Posa, Discrete Math. 14, 1976), and each end reached has a path.  The
+    ends the search does not reach are the answer.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     _guard(n, max_order)
     adj = _adjacency(list(range(1, n + 1)))
-    return {(a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if _least_path(adj, a, b) is None}
+    flags = primes.prime_flags(n)
+    found = set()
+    for a in range(n):
+        reached: set[int] = set()
+        for b in range(a + 1, n - a):
+            if b in reached:
+                continue
+            walk = _least_path(adj, a, b)
+            if walk is None:
+                found.add((a + 1, b + 1))
+            else:
+                reached |= _rotated_ends([a, *walk], flags)
+    return found | {(n + 1 - b, n + 1 - a) for a, b in found}
 
 
 def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) -> bool:

@@ -7,6 +7,7 @@ never size it up front.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from math import isqrt
 
 
@@ -92,6 +93,9 @@ def prime_arithmetic_progression(
     multiple would exceed l.  A prime k with a > k divides d for the last
     reason.  So once W passes the limit the box is empty, and the sieve is
     not grown for it.
+
+    Only prime first terms are visited, and each difference is probed with
+    one strided slice of the sieve holding its k - 1 later terms.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -111,17 +115,17 @@ def prime_arithmetic_progression(
     flags = _flags
     past_k = wheel * k if flags[k] else wheel
     best = None
-    for first in range(2, search_limit + 1):
+    for first in compress(range(search_limit + 1), flags[: search_limit + 1]):
         # Once one is found, only differences that give a smaller end sum.
         top = search_limit if best is None else min(search_limit, (best[0] + best[-1] - 2 * first - 1) // (k - 1))
         if top < 1:
             break
-        if not flags[first]:
-            continue
         step = past_k if first > k else wheel
         for d in range(step, top + 1, step):
-            if all(flags[first + j * d] for j in range(1, k)):
-                best = tuple(first + j * d for j in range(k))
+            # The sieve covers limit * k >= first + (k - 1) * d, so the slice
+            # holds all k - 1 later terms and never runs off its end.
+            if 0 not in flags[first + d : first + k * d : d]:
+                best = tuple(range(first, first + k * d, d))
                 if not least_end_sum:
                     return best
                 break

@@ -243,6 +243,54 @@ def test_infeasible_pairs_match_the_dp_read_off():
     assert elapsed < 3.0, f"took {elapsed:.2f}s, bound is 3s"
 
 
+def test_infeasible_pairs_match_the_per_pair_search():
+    # Past the DP read-off above, at orders 21-30: one path search on every
+    # pair a < b, the reference that rotations and the mirror must not change.
+    for n in range(21, 31):
+        adj = oracle._adjacency(list(range(1, n + 1)))
+        want = {(a + 1, b + 1) for a in range(n) for b in range(a + 1, n) if oracle._least_path(adj, a, b) is None}
+        assert brute_infeasible_pairs(n, max_order=30) == want, n
+
+
+def test_infeasible_pairs_search_once_per_start(monkeypatch):
+    # Rotations and the mirror leave one path search for each start a with
+    # a + 1 <= n - a: 9 searches at order 18, against 153 for every pair.
+    calls = 0
+    least_path = oracle._least_path
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return least_path(*args)
+
+    monkeypatch.setattr(oracle, "_least_path", counting)
+    assert brute_infeasible_pairs(18) == set()
+    assert calls == 9
+    assert brute_infeasible_pairs(8) == {(4, 5)}
+
+
+def _assert_rotated_ends_have_paths(iv, a, b):
+    w = brute_hamilton_path(iv, (a, b))
+    ends = oracle._rotated_ends([v - iv.lo for v in w.sequence], prime_flags(iv.order))
+    assert b - iv.lo in ends
+    for e in ends:
+        p = brute_hamilton_path(iv, (a, e + iv.lo))
+        assert p is not None and verify_path(p, (a, e + iv.lo)), (iv, a, b, e)
+
+
+def test_rotated_ends_have_paths():
+    # Every end that a rotation of the least 1 -> 2 path reports has a
+    # Hamilton path from 1, which the verifier accepts.  At orders 5-8, where
+    # some pairs have none, rotations of every least path are checked.
+    for n in range(9, 17):
+        _assert_rotated_ends_have_paths(Interval(1, n), 1, 2)
+    for n in range(5, 9):
+        iv = Interval(1, n)
+        for a, b in itertools.permutations(iv.vertices(), 2):
+            if brute_hamilton_path(iv, (a, b)) is not None:
+                _assert_rotated_ends_have_paths(iv, a, b)
+
+
 def test_path_search_enters_no_failed_state_again():
     # No path of odd steps runs from 1 to 2 at odd order 17: such a path
     # alternates parities, so both of its ends are odd.  The search has to
