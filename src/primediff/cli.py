@@ -1,14 +1,14 @@
 """Command-line surface: every constructor, the oracle, and the verifier.
 
-Every command but `verify` prints through `_emit`: plain output is one
-space-separated vertex sequence per line (2-factor cycles joined with `|`),
-written a fixed number of vertices at a time; `--json` prints one object
-with "ok": true, byte-stable for identical inputs.  Only the requested form
-is built.  Exit codes: 0 success; 1 for a domain error, whose class names
-its `code`, for running out of memory (`resource_limit`) and for a `verify`
-violation; 2 for a usage error.  Each failure but argparse's own prints
-{"error": code, "detail": {...}} on stderr.  A reader that closes stdout
-early ends the run with exit 1 and nothing on stderr.
+Every command prints through `_emit`: plain output is one space-separated
+vertex sequence per line (2-factor cycles joined with `|`), written a fixed
+number of vertices at a time; `--json` prints one object with "ok": true
+(`verify`: its verdict), byte-stable for identical inputs.  Only the
+requested form is built.  Exit codes: 0 success; 1 for a domain error, whose
+class names its `code`, for running out of memory (`resource_limit`) and for
+a `verify` violation; 2 for a usage error.  Each failure but argparse's own
+prints {"error": code, "detail": {...}} on stderr.  A reader that closes
+stdout early ends the run with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -132,13 +132,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("witness JSON is nested too deeply") from None
     w = witness_from_json(obj)
     v = verify(w)
-    if args.json:
-        out = {**witness_to_json(w), "ok": bool(v)}
-        if not v:
-            out["reason"] = v.reason
-        print(_dumps(out))
-    else:
-        print("ok" if v else f"violation: {v.reason}")
+    verdict = {"ok": True} if v else {"ok": False, "reason": v.reason}
+    line = "ok\n" if v else f"violation: {v.reason}\n"
+    _emit(args.json, lambda: {**witness_to_json(w), **verdict}, lambda: [line])
     if not v:
         print(_dumps({"error": v.reason, "detail": v.detail or {}}), file=sys.stderr)
         return 1

@@ -334,17 +334,17 @@ def canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
     return rot
 
 
+# The JSON kind of each witness class, in both directions.
+_KINDS = {PathWitness: "path", CycleWitness: "cycle", TwoFactorWitness: "two_factor"}
+
+
 def witness_to_json(w) -> dict:
     """Stable JSON form: {"kind", "lo", "hi", "sequences"}."""
-    if isinstance(w, PathWitness):
-        kind, seqs = "path", [list(w.sequence)]
-    elif isinstance(w, CycleWitness):
-        kind, seqs = "cycle", [list(w.sequence)]
-    elif isinstance(w, TwoFactorWitness):
-        kind, seqs = "two_factor", [list(c) for c in w.cycles]
-    else:
-        raise TypeError(f"not a witness: {type(w).__name__}")
-    return {"kind": kind, "lo": w.interval.lo, "hi": w.interval.hi, "sequences": seqs}
+    for cls, kind in _KINDS.items():
+        if isinstance(w, cls):
+            seqs = w.cycles if cls is TwoFactorWitness else (w.sequence,)
+            return {"kind": kind, "lo": w.interval.lo, "hi": w.interval.hi, "sequences": [list(s) for s in seqs]}
+    raise TypeError(f"not a witness: {type(w).__name__}")
 
 
 def witness_from_json(obj) -> PathWitness | CycleWitness | TwoFactorWitness:
@@ -366,14 +366,12 @@ def witness_from_json(obj) -> PathWitness | CycleWitness | TwoFactorWitness:
     ):
         raise ValueError("sequences must be a list of integer lists")
     interval = Interval(lo, hi)
-    if kind == "path":
-        if len(seqs) != 1:
-            raise ValueError("a path witness has exactly one sequence")
-        return PathWitness(interval, tuple(seqs[0]))
-    if kind == "cycle":
-        if len(seqs) != 1:
-            raise ValueError("a cycle witness has exactly one sequence")
-        return CycleWitness(interval, tuple(seqs[0]))
-    if kind == "two_factor":
+    # By equality: JSON may send a list or an object here, which cannot be hashed.
+    cls = next((c for c, k in _KINDS.items() if k == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    if cls is TwoFactorWitness:
         return TwoFactorWitness(interval, tuple(tuple(s) for s in seqs))
-    raise ValueError(f"unknown witness kind {kind!r}")
+    if len(seqs) != 1:
+        raise ValueError(f"a {kind} witness has exactly one sequence")
+    return cls(interval, tuple(seqs[0]))

@@ -31,7 +31,10 @@ def _guard(order: int, max_order: int | None) -> None:
     environment variable, else DEFAULT_MAX_ORDER."""
     if max_order is None:
         env = os.environ.get(ENV_MAX_ORDER)
-        max_order = int(env) if env else DEFAULT_MAX_ORDER
+        try:
+            max_order = int(env) if env else DEFAULT_MAX_ORDER
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_ORDER} must be an integer, got {env!r}") from None
     if order > max_order:
         raise OrderCapExceeded(order, max_order)
 
@@ -204,56 +207,39 @@ def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple
 
 def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) -> bool:
     """Backtracking search: can [1, n] be covered by disjoint cycles of the
-    given lengths?  Each cycle is anchored at the smallest vertex it contains,
-    with a fixed orientation, so no arrangement is tried twice."""
+    given lengths?  The least free vertex starts an open cycle of each distinct
+    length left (lengths[0] in `solve`), which closes with its second vertex
+    below its last, so no arrangement is tried twice; then the rest is solved."""
     _guard(n, max_order)
     lengths = sorted(lengths)
     if any(L < 3 for L in lengths) or sum(lengths) != n:
         raise ValueError(f"bad length multiset {lengths} for n={n}")
     # Vertex indices 0..n-1 stand for 1..n; the index order is the vertex order.
     adj = _adjacency(list(range(1, n + 1)))
-    unused = set(range(n))
-    remaining = lengths
+    free = [True] * n
 
-    def cycles_through(s: int, length: int):
-        # Simple cycles of `length` unused vertices starting at s, canonical
-        # orientation: second vertex smaller than last.
-        path = [s]
-        on_path = {s}
-
-        def extend():
-            if len(path) == length:
-                if path[1] < path[-1] and s in adj[path[-1]]:
-                    yield tuple(path)
-                return
-            for v in adj[path[-1]]:
-                if v in unused and v not in on_path:
-                    path.append(v)
-                    on_path.add(v)
-                    yield from extend()
-                    path.pop()
-                    on_path.remove(v)
-
-        yield from extend()
-
-    def solve(remaining: list[int]) -> bool:
-        if not unused:
-            return True
-        s = min(unused)
-        tried: set[int] = set()
-        for i, L in enumerate(remaining):
-            if L in tried:
-                continue
-            tried.add(L)
-            rest = remaining[:i] + remaining[i + 1 :]
-            for cyc in cycles_through(s, L):
-                unused.difference_update(cyc)
-                if solve(rest):
+    def solve(cycle: list[int], lengths: list[int]) -> bool:
+        if not cycle:
+            if not lengths:
+                return True
+            s = free.index(True)
+            free[s] = False
+            for i, L in enumerate(lengths):
+                if L not in lengths[:i] and solve([s], [L, *lengths[:i], *lengths[i + 1 :]]):
                     return True
-                unused.update(cyc)
+            free[s] = True
+            return False
+        if len(cycle) == lengths[0]:
+            return cycle[1] < cycle[-1] and cycle[0] in adj[cycle[-1]] and solve([], lengths[1:])
+        for v in adj[cycle[-1]]:
+            if free[v]:
+                free[v] = False
+                if solve([*cycle, v], lengths):
+                    return True
+                free[v] = True
         return False
 
-    return solve(remaining)
+    return solve([], lengths)
 
 
 def brute_diff_restricted_cycle(

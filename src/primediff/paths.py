@@ -57,7 +57,7 @@ ROWS: dict[tuple[int, int, int], tuple[int, ...]] = {
     (9, 1, 6): (1, 4, 7, 9, 2, 5, 3, 8, 6),
     (10, 1, 6): (1, 4, 2, 5, 3, 8, 10, 7, 9, 6),
     # From vertex 1 to m in [7, 10], for the four orders the five-step
-    # chaining of `_path_1m` cannot reduce further.
+    # chaining of `_ham_fill` cannot reduce further.
     (7, 1, 7): (1, 3, 6, 4, 2, 5, 7),
     (8, 1, 7): (1, 8, 6, 3, 5, 2, 4, 7),
     (8, 1, 8): (1, 3, 5, 7, 2, 4, 6, 8),
@@ -186,19 +186,6 @@ def _ham_fill(out: list[int], n: int, a: int, b: int, k: int, s: int) -> None:
         _ham_fill(out, n - 5, 1, b - 5, k + 5 * s, s)
 
 
-def _path_1m(n: int, m: int, k: int = 0) -> tuple[int, ...]:
-    """Hamilton path of [k+1, k+n] from k+1 to k+m, any 2 <= m <= n (n >= 5)."""
-    if not 2 <= m <= n:
-        raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    if n < 5:
-        raise ValueError(f"order {n} below the supported range")
-    if n == 5 and m not in (3, 4):
-        raise Infeasible(f"no Hamilton path from 1 to {m} at order 5", n=5, endpoints=(1, m))
-    out: list[int] = []
-    _ham_fill(out, n, 1, m, k, 1)
-    return tuple(out)
-
-
 def _ham_seq(n: int, a: int, b: int) -> tuple[int, ...]:
     """Hamilton path sequence of [1, n] from a to b, 1 <= a < b <= n (n >= 5)."""
     # The exception sets are closed under the mirror, so the caller's own
@@ -229,10 +216,9 @@ def base_path_1_to_m(n: int, m: int) -> PathWitness:
     if not 2 <= m <= 6:
         raise ValueError(f"base construction covers m in [2, 6], got {m}")
     try:
-        seq = _path_1m(n, m)
+        return path_1_to_m(n, m)
     except (ValueError, Infeasible):
         raise ValueError(f"no base path for (n={n}, m={m})") from None
-    return certify(PathWitness(Interval(1, n), seq), expected_endpoints=(1, m))
 
 
 def path_1_to_m(n: int, m: int) -> PathWitness:
@@ -240,7 +226,13 @@ def path_1_to_m(n: int, m: int) -> PathWitness:
 
     At order 5 only m in {3, 4} is realizable; other m raise Infeasible.
     """
-    return certify(PathWitness(Interval(1, n), _path_1m(n, m)), expected_endpoints=(1, m))
+    if not 2 <= m <= n:
+        raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
+    if n < 5:
+        raise ValueError(f"order {n} below the supported range")
+    if n == 5 and m not in (3, 4):
+        raise Infeasible(f"no Hamilton path from 1 to {m} at order 5", n=5, endpoints=(1, m))
+    return certify(PathWitness(Interval(1, n), _ham_seq(n, 1, m)), expected_endpoints=(1, m))
 
 
 def hamilton_path(n: int, a: int, b: int) -> PathWitness:
@@ -274,7 +266,7 @@ def hamilton_cycle(n: int) -> CycleWitness:
     if n < 5:
         raise Infeasible(f"no Hamilton cycle at order {n}", n=n)
     # A 1 -> 4 path closes with the prime difference 3.
-    return certify(CycleWitness(Interval(1, n), _path_1m(n, 4)))
+    return certify(CycleWitness(Interval(1, n), _ham_seq(n, 1, 4)))
 
 
 def hamilton_cycle_through_edge(n: int, edge) -> CycleWitness:

@@ -12,8 +12,9 @@ from primediff.errors import Infeasible
 from primediff.factors import _BLOCKS, enumerate_specs, two_factor
 from primediff.graphs import verify_two_factor
 from primediff.oracle import brute_two_factor_exists
-from primediff.paths import _path_1m
+from primediff.paths import path_1_to_m
 from primediff.primes import prime_flags
+from primediff.transforms import shift
 
 
 def test_enumerate_specs_goldens():
@@ -139,16 +140,21 @@ def test_realize_builds_each_piece_in_place():
     assert peak < 1.4 * size, f"peak {peak} bytes for a {size}-byte result"
 
 
+def _path(n, m, k=0):
+    """The path of [k+1, k+n] from k+1 to k+m."""
+    return shift(path_1_to_m(n, m), k).sequence
+
+
 def _concatenated_pieces(short, x, k):
     """The cycles of a long part x beside the short cycles `short` at offset
     k, as head + path tuples: the formulas the table rows must reproduce."""
     if short == (3,):
-        return ((k + 1, k + 3, k + 6), (k + 5, k + 2, k + 4) + _path_1m(x - 3, 2, k + 6))
+        return ((k + 1, k + 3, k + 6), (k + 5, k + 2, k + 4) + _path(x - 3, 2, k + 6))
     if short == (4,):
-        return ((k + 2, k + 5, k + 7, k + 4), (k + 6, k + 1, k + 3) + _path_1m(x - 3, 2, k + 7))
+        return ((k + 2, k + 5, k + 7, k + 4), (k + 6, k + 1, k + 3) + _path(x - 3, 2, k + 7))
     if short == (3, 3):
-        return ((k + 1, k + 3, k + 6), (k + 2, k + 4, k + 7), (k + 5,) + _path_1m(x - 1, 3, k + 7))
-    return (_path_1m(x, 4, k),)
+        return ((k + 1, k + 3, k + 6), (k + 2, k + 4, k + 7), (k + 5,) + _path(x - 1, 3, k + 7))
+    return (_path(x, 4, k),)
 
 
 # For each piece: a prefix spec that is placed first, its cycles, and the
@@ -157,7 +163,7 @@ _PIECE_PREFIXES = {
     (3,): ((3, 4), _BLOCKS[3, 4], 9),
     (4,): ((4, 4), _BLOCKS[4, 4], 9),
     (3, 3): ((3, 4), _BLOCKS[3, 4], 6),
-    (): ((5,), (_path_1m(5, 4),), 5),
+    (): ((5,), (_path(5, 4),), 5),
 }
 
 

@@ -12,10 +12,17 @@ from primediff.generators import (
     n_for_t_disjoint,
     path_diff23,
 )
-from primediff.graphs import canonical_cycle, verify_cycle, verify_edge_disjoint, verify_path
+from primediff.graphs import (
+    Interval,
+    PathWitness,
+    canonical_cycle,
+    verify_cycle,
+    verify_edge_disjoint,
+    verify_path,
+)
 from primediff.oracle import brute_diff_restricted_cycle
 from primediff.primes import prime_pair_decompositions
-from primediff.transforms import complement_seq
+from primediff.transforms import complement
 
 
 def test_path_diff23_goldens():
@@ -72,7 +79,7 @@ def test_diff23_builders_match_the_concatenated_formulas():
     assert cycle_diff23(5).sequence == (1, 4, 2, 5, 3)
     for n in [*range(10, 601), 10**5, 10**5 + 1]:
         h = n // 2
-        right = complement_seq(_concatenated_diff23(n - h + 1), 1, n)
+        right = complement(PathWitness(Interval(1, n), _concatenated_diff23(n - h + 1))).sequence
         assert cycle_diff23(n).sequence == _concatenated_diff23(h + 1) + right[1:-1], n
 
 

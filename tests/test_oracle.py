@@ -13,6 +13,7 @@ import pytest
 
 from primediff import oracle
 from primediff.errors import OrderCapExceeded
+from primediff.factors import enumerate_specs
 from primediff.graphs import Interval, verify_cycle, verify_path
 from primediff.oracle import (
     DEFAULT_MAX_ORDER,
@@ -91,6 +92,15 @@ def test_env_cap(monkeypatch):
     assert brute_hamilton_path(Interval(1, 23), (1, 23)) is not None
 
 
+def test_env_cap_must_be_an_integer(monkeypatch):
+    # A bad value is named, not reported as int()'s own message.
+    monkeypatch.setenv(ENV_MAX_ORDER, "abc")
+    with pytest.raises(ValueError) as exc:
+        brute_hamilton_path(I9, (1, 2))
+    assert str(exc.value) == "ORACLE_MAX_ORDER must be an integer, got 'abc'"
+    assert brute_hamilton_path(I9, (1, 2), max_order=9) is not None
+
+
 def test_infeasible_pairs_negative_order():
     with pytest.raises(ValueError, match="-5"):
         brute_infeasible_pairs(-5)
@@ -120,6 +130,45 @@ def test_two_factor_exists():
     with pytest.raises(OrderCapExceeded) as exc:
         brute_two_factor_exists(23, (3, 20))
     assert (exc.value.order, exc.value.cap) == (23, 22)
+
+
+def _prime_permutation_cycle_types(n):
+    """Sorted cycle lengths of every permutation of [1, n] that moves each
+    vertex by a prime and has no cycle shorter than 3 (n <= 9)."""
+    primes = {2, 3, 5, 7}
+    image = {}
+    types = set()
+
+    def assign(v):
+        if v > n:
+            lengths, seen = [], set()
+            for s in range(1, n + 1):
+                u, length = s, 0
+                while u not in seen:
+                    seen.add(u)
+                    u, length = image[u], length + 1
+                if length:
+                    lengths.append(length)
+            if min(lengths) >= 3:
+                types.add(tuple(sorted(lengths)))
+            return
+        for t in range(1, n + 1):
+            if abs(t - v) in primes and t not in image.values():
+                image[v] = t
+                assign(v + 1)
+                del image[v]
+
+    assign(1)
+    return types
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_two_factor_exists_matches_prime_permutations(n):
+    # Independent of the search: a 2-factor is a permutation whose cycles
+    # step by primes and have at least 3 vertices.  This reaches the search's
+    # negative answers (3,), (4,) and (3, 3) at orders 3, 4 and 6.
+    found = {s for s in enumerate_specs(n) if brute_two_factor_exists(n, s)}
+    assert found == _prime_permutation_cycle_types(n)
 
 
 def test_diff_restricted_cycle():

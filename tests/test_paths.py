@@ -13,12 +13,12 @@ from primediff.errors import Infeasible, NonEdge
 from primediff.graphs import Interval, PathWitness, verify_cycle, verify_path
 from primediff.oracle import brute_infeasible_pairs
 from primediff.primes import prime_flags
-from primediff.transforms import complement_seq, reverse_seq, shift_seq
+from primediff.transforms import complement, reverse, shift
 from primediff.paths import (
     EXCEPTION_PAIRS,
     ROWS,
+    _ham_fill,
     _ham_seq,
-    _path_1m,
     base_path_1_to_m,
     hamilton_cycle,
     hamilton_cycle_through_edge,
@@ -45,9 +45,18 @@ def test_derived_small_order_rows_reproduced():
         assert hamilton_path(n, seq[-1], seq[0]).sequence == seq[::-1], (n, a, b)
 
 
+def _error(build, *args) -> str:
+    with pytest.raises((ValueError, Infeasible)) as e:
+        build(*args)
+    return f"{type(e.value).__name__}: {e.value}"
+
+
 def test_base_range_validation():
-    with pytest.raises(ValueError):
-        base_path_1_to_m(12, 7)
+    for m in (1, 7):
+        assert _error(base_path_1_to_m, 12, m) == f"ValueError: base construction covers m in [2, 6], got {m}"
+    for n in (3, 4):
+        assert _error(base_path_1_to_m, n, 2) == f"ValueError: no base path for (n={n}, m=2)"
+    assert _error(base_path_1_to_m, 5, 2) == "ValueError: no base path for (n=5, m=2)"
     assert base_path_1_to_m(12, 2).endpoints == (1, 2)
 
 
@@ -55,12 +64,13 @@ def test_path_1_to_m_small_order_feasibility():
     assert path_1_to_m(5, 3).sequence == (1, 4, 2, 5, 3)
     assert path_1_to_m(5, 4).sequence == (1, 3, 5, 2, 4)
     for m in (2, 5):
-        with pytest.raises(Infeasible):
-            path_1_to_m(5, m)
-    with pytest.raises(ValueError):
-        path_1_to_m(4, 2)
-    with pytest.raises(ValueError):
-        path_1_to_m(9, 10)
+        assert _error(path_1_to_m, 5, m) == f"Infeasible: no Hamilton path from 1 to {m} at order 5"
+    for n in (3, 4, 5, 9):
+        for m in (0, 1, n + 1):
+            assert _error(path_1_to_m, n, m) == f"ValueError: need 2 <= m <= n, got m={m}, n={n}"
+    for n in (3, 4):
+        for m in range(2, n + 1):
+            assert _error(path_1_to_m, n, m) == f"ValueError: order {n} below the supported range"
 
 
 @pytest.mark.parametrize("n", range(6, 90))
@@ -243,14 +253,16 @@ def test_mirror_and_offset_are_affine(n):
         for b in range(max(a + 1, n + 2 - a), n + 1):
             if (a, b) in EXCEPTION_PAIRS.get(n, ()):
                 continue
-            image = _ham_seq(n, n + 1 - b, n + 1 - a)
-            assert _ham_seq(n, a, b) == reverse_seq(complement_seq(image, 1, n)), (a, b)
+            image = PathWitness(Interval(1, n), _ham_seq(n, n + 1 - b, n + 1 - a))
+            assert _ham_seq(n, a, b) == reverse(complement(image)).sequence, (a, b)
     for m in range(2, n + 1):
         if n == 5 and m not in (3, 4):
             continue
-        seq = _path_1m(n, m)
+        w = path_1_to_m(n, m)
         for k in (1, 7, 10**6):
-            assert _path_1m(n, m, k) == shift_seq(seq, k), (m, k)
+            out = []
+            _ham_fill(out, n, 1, m, k, 1)
+            assert tuple(out) == shift(w, k).sequence, (m, k)
 
 
 @pytest.mark.parametrize(

@@ -222,20 +222,28 @@ def test_json_round_trip():
 
 
 def test_json_rejects_malformed():
+    # The CLI prints each message as detail.message, so the text is pinned.
     good = witness_to_json(P5)
-    for broken in (
-        {},
-        42,
-        {**good, "kind": "loop"},
-        {**good, "lo": "1"},
-        {**good, "lo": True},
-        {**good, "sequences": [[1, 4, 2, 5, True]]},
-        {**good, "sequences": [[1, 2], [3]]},
-        {**good, "sequences": [["a"]]},
-        {k: v for k, v in good.items() if k != "hi"},
+    cycle = witness_to_json(C9)
+    for broken, message in (
+        ({}, "witness missing field 'kind'"),
+        (42, "witness must be a JSON object"),
+        ({**good, "kind": "loop"}, "unknown witness kind 'loop'"),
+        ({**good, "kind": []}, "unknown witness kind []"),
+        ({**good, "kind": {}}, "unknown witness kind {}"),
+        ({**good, "kind": None}, "unknown witness kind None"),
+        ({**good, "kind": 1}, "unknown witness kind 1"),
+        ({**good, "lo": "1"}, "lo and hi must be integers"),
+        ({**good, "lo": True}, "lo and hi must be integers"),
+        ({**good, "sequences": [[1, 4, 2, 5, True]]}, "sequences must be a list of integer lists"),
+        ({**good, "sequences": [[1, 2], [3]]}, "a path witness has exactly one sequence"),
+        ({**cycle, "sequences": [[1, 3, 5], [7, 9, 2, 4, 6, 8]]}, "a cycle witness has exactly one sequence"),
+        ({**good, "sequences": [["a"]]}, "sequences must be a list of integer lists"),
+        ({k: v for k, v in good.items() if k != "hi"}, "witness missing field 'hi'"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             witness_from_json(broken)
+        assert str(e.value) == message, broken
 
 
 def _primes_to(n):
