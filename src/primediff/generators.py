@@ -10,6 +10,8 @@ collide with a pair containing 2 or 3.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import Infeasible, NotFound
 from .graphs import CycleWitness, DisjointFamily, Interval, PathWitness, certify
 from .paths import hamilton_cycle
@@ -65,13 +67,17 @@ def cycle_diff23(n: int) -> CycleWitness:
     return certify(CycleWitness(Interval(1, n), _seq_cycle23(n)), allowed_diffs={2, 3})
 
 
-def _seq_two_primes(n: int, p: int) -> tuple[int, ...]:
-    """The unchecked sequence of `cycle_two_primes(n, (p, n - p))`: +p modulo n.
+def _seq_two_primes(vals: list[int], p: int) -> tuple[int, ...]:
+    """The unchecked sequence of `cycle_two_primes(n, (p, n - p))`: +p modulo
+    n, read from vals = [1, ..., n].
 
-    Already canonical as built: it starts at 1, and its second vertex p + 1
-    is below its last, (n - 1)p mod n + 1 = n - p + 1.
+    Lap j of the walk is the stride-p slice of vals from (-j*n) mod p, so the
+    members of one family share vals' int objects instead of each holding n
+    of its own.  Already canonical as built: it starts at 1, and its second
+    vertex p + 1 is below its last, (n - 1)p mod n + 1 = n - p + 1.
     """
-    return tuple((i * p) % n + 1 for i in range(n))
+    n = len(vals)
+    return tuple(chain.from_iterable(vals[(-j * n) % p :: p] for j in range(p)))
 
 
 def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
@@ -89,7 +95,7 @@ def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
         raise ValueError(f"{p} + {q} != {n}")
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"({p}, {q}) is not a prime pair")
-    return certify(CycleWitness(Interval(1, n), _seq_two_primes(n, p)), allowed_diffs={p, q})
+    return certify(CycleWitness(Interval(1, n), _seq_two_primes(list(range(1, n + 1)), p)), allowed_diffs={p, q})
 
 
 def edge_disjoint_cycles(n: int) -> DisjointFamily:
@@ -106,11 +112,12 @@ def edge_disjoint_cycles(n: int) -> DisjointFamily:
         raise ValueError(f"need n >= 5, got {n}")
     interval = Interval(1, n)
     use_23 = n == 5 or n >= 10
+    vals = list(range(1, n + 1))
     cycles: list[CycleWitness] = []
     sources: list[str] = []
     for p, q in prime_pair_decompositions(n):
         if not (use_23 and p in (2, 3)):
-            cycles.append(CycleWitness(interval, _seq_two_primes(n, p)))
+            cycles.append(CycleWitness(interval, _seq_two_primes(vals, p)))
             sources.append(f"pair:{p},{q}")
     if use_23:
         cycles.append(CycleWitness(interval, _seq_cycle23(n)))
@@ -141,6 +148,7 @@ def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointF
         )
     n = ap[0] + ap[-1]
     interval = Interval(1, n)
-    cycles = tuple(CycleWitness(interval, _seq_two_primes(n, ap[i])) for i in range(t))
+    vals = list(range(1, n + 1))
+    cycles = tuple(CycleWitness(interval, _seq_two_primes(vals, ap[i])) for i in range(t))
     sources = tuple(f"pair:{ap[i]},{ap[2 * t - 1 - i]}" for i in range(t))
     return n, certify(DisjointFamily(interval, cycles, sources))

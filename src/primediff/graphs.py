@@ -9,6 +9,7 @@ before returning it.
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -369,7 +370,8 @@ def witness_from_json(obj) -> PathWitness | CycleWitness | TwoFactorWitness:
     # By equality: JSON may send a list or an object here, which cannot be hashed.
     cls = next((c for c, k in _KINDS.items() if k == kind), None)
     if cls is None:
-        raise ValueError(f"unknown witness kind {kind!r}")
+        # reprlib: a rejected kind may be megabytes of JSON; name it, do not echo it.
+        raise ValueError(f"unknown witness kind {reprlib.repr(kind)}")
     if cls is TwoFactorWitness:
         return TwoFactorWitness(interval, tuple(tuple(s) for s in seqs))
     if len(seqs) != 1:

@@ -9,9 +9,8 @@ Every witness comes from one depth-first search with a memo of failed
 states (`_least_path`), which finds a path with little backtracking when
 there is one.  Infeasible pairs need it about once per start: each path
 found is closed under Posa rotations (Posa, Discrete Math. 14, 1976) and
-the answer under the mirror v -> n + 1 - v.  Restricted-cycle queries mostly
-have no cycle, so a bit-parallel subset DP over every mask at once
-(`_reach_sets`) first decides whether the cycle exists.
+the answer under the mirror v -> n + 1 - v.  Restricted cycles are the
+same search from vertex 1 back to 1, after one parity cut.
 """
 
 from __future__ import annotations
@@ -47,52 +46,6 @@ def _adjacency(verts: list[int], allowed=None) -> list[list[int]]:
     return [[j for j, w in enumerate(verts) if ok[abs(w - v)]] for v in verts]
 
 
-def _masks_without(b: int, m: int) -> int:
-    """Bitset over all 2^m masks: bit `mask` is set iff bit b is not in mask.
-
-    Built from a repeated byte pattern; big-int arithmetic over 2^m bits
-    would cost as much as the search itself.  For m < 3 the pattern also sets
-    bits past 2^m, which no reach set ever holds.
-    """
-    if b < 3:
-        unit = (b"\x55", b"\x33", b"\x0f")[b]
-    else:
-        half = 1 << (b - 3)
-        unit = b"\xff" * half + b"\x00" * half
-    nbytes = max(1, (1 << m) >> 3)
-    return int.from_bytes(unit * (nbytes // len(unit)), "little")
-
-
-def _reach_sets(adj: list[list[int]]) -> list[int]:
-    """S[v] is a 2^(m-1)-bit int over m - 1 mask bits, m = len(adj), one for
-    each index v > 0 (bit v - 1): bit `mask` is set iff some path v -> 0
-    covers exactly 0 and the vertices whose bits are in mask.
-
-    Anchored at index 0, which takes no mask bit: S[0] = 1 is the empty
-    mask.  A Hamilton cycle through 0 exists iff some neighbor u of 0 has the
-    full mask in S[u].
-    Bit-parallel Held-Karp: one relaxation extends every path of every mask
-    at once, S[v] = (OR of S[u] over neighbors u, restricted to masks without
-    bit(v)) << 2^bit(v), repeated until nothing changes (at most m rounds).
-    """
-    k = len(adj) - 1
-    without = [_masks_without(b, k) for b in range(k)]
-    reach = [0] * len(adj)
-    reach[0] = 1
-    changed = True
-    while changed:
-        changed = False
-        for b, v in enumerate(range(1, len(adj))):
-            acc = 0
-            for u in adj[v]:
-                acc |= reach[u]
-            new = (acc & without[b]) << (1 << b)
-            if new != reach[v]:
-                reach[v] = new
-                changed = True
-    return reach
-
-
 def _least_path(adj: list[list[int]], start: int, end: int) -> list[int] | None:
     """Least Hamilton path from index `start` to index `end` in adj order:
     the indices after `start`, `end` last, or None.  With start == end it is
@@ -103,7 +56,7 @@ def _least_path(adj: list[list[int]], start: int, end: int) -> list[int] | None:
     order, so its first complete path is the least.  A state is the mask of
     visited indices and the current index; once every extension of a state
     has failed, the state goes into `failed` and is never entered again.  So
-    the search meets at most the DP's states, and holds only the failed ones.
+    the search enters each state at most once, and holds only the failed ones.
     """
     full = (1 << len(adj)) - 1
     failed: set[tuple[int, int]] = set()
@@ -208,8 +161,11 @@ def brute_infeasible_pairs(n: int, *, max_order: int | None = None) -> set[tuple
 def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) -> bool:
     """Backtracking search: can [1, n] be covered by disjoint cycles of the
     given lengths?  The least free vertex starts an open cycle of each distinct
-    length left (lengths[0] in `solve`), which closes with its second vertex
-    below its last, so no arrangement is tried twice; then the rest is solved."""
+    length left (lengths[0] in `below`), whose last vertex closes it and lies
+    above its second, so no arrangement is tried twice; then the rest is solved.
+    Each `below` generator marks the vertex it adds while the states under it
+    are searched; a stack of them, as in `_least_path`, needs no recursion.
+    """
     _guard(n, max_order)
     lengths = sorted(lengths)
     if any(L < 3 for L in lengths) or sum(lengths) != n:
@@ -218,28 +174,33 @@ def brute_two_factor_exists(n: int, lengths, *, max_order: int | None = None) ->
     adj = _adjacency(list(range(1, n + 1)))
     free = [True] * n
 
-    def solve(cycle: list[int], lengths: list[int]) -> bool:
+    def below(cycle: list[int], lengths: list[int]):
+        """The states one step on from (open cycle, lengths left), in order."""
         if not cycle:
-            if not lengths:
-                return True
             s = free.index(True)
             free[s] = False
             for i, L in enumerate(lengths):
-                if L not in lengths[:i] and solve([s], [L, *lengths[:i], *lengths[i + 1 :]]):
-                    return True
+                if L not in lengths[:i]:
+                    yield [s], [L, *lengths[:i], *lengths[i + 1 :]]
             free[s] = True
-            return False
-        if len(cycle) == lengths[0]:
-            return cycle[1] < cycle[-1] and cycle[0] in adj[cycle[-1]] and solve([], lengths[1:])
-        for v in adj[cycle[-1]]:
-            if free[v]:
-                free[v] = False
-                if solve([*cycle, v], lengths):
-                    return True
-                free[v] = True
-        return False
+        else:
+            last = len(cycle) + 1 == lengths[0]  # v completes the cycle, so it must close it
+            for v in adj[cycle[-1]]:
+                if free[v] and (not last or cycle[1] < v and cycle[0] in adj[v]):
+                    free[v] = False
+                    yield ([], lengths[1:]) if last else ([*cycle, v], lengths)
+                    free[v] = True
 
-    return solve([], lengths)
+    stack = [iter([([], lengths)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif state[0] or state[1]:
+            stack.append(below(*state))
+        else:
+            return True
+    return False
 
 
 def brute_diff_restricted_cycle(
@@ -248,18 +209,15 @@ def brute_diff_restricted_cycle(
     """Lexicographically least Hamilton cycle of [1, n], read from 1, whose
     differences all lie in `allowed` (non-primes in it never count), or None.
 
-    The reach-set DP (`_reach_sets`, anchored at vertex 1) decides whether
-    the cycle exists: some neighbor of 1 must reach 1 over every vertex.
-    Only then does `_least_path` from 1 back to 1 build it, and the return
-    to 1 is dropped.  The least such cycle already has its second vertex
-    below its last, since otherwise its reversal would be smaller.
+    Without 2 every counted difference is odd, so the graph is bipartite
+    between odd and even vertices, classes of unequal size at odd n: no
+    cycle.  Otherwise `_least_path` from 1 back to 1 decides and builds it.
+    The least cycle already has its second vertex below its last, since
+    otherwise its reversal would be smaller.
     """
     _guard(n, max_order)
-    if n < 3:
+    allowed = frozenset(allowed)
+    if n < 3 or n % 2 and 2 not in allowed:
         return None
-    adj = _adjacency(list(range(1, n + 1)), frozenset(allowed))
-    reach = _reach_sets(adj)
-    if all(reach[u].bit_length() != 1 << (n - 1) for u in adj[0]):
-        return None
-    walk = _least_path(adj, 0, 0)
-    return CycleWitness(Interval(1, n), (1, *(i + 1 for i in walk[:-1])))
+    walk = _least_path(_adjacency(list(range(1, n + 1)), allowed), 0, 0)
+    return None if walk is None else CycleWitness(Interval(1, n), (1, *(i + 1 for i in walk[:-1])))

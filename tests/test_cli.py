@@ -297,6 +297,15 @@ def test_verify_deeply_nested_json_is_usage(capsys, monkeypatch):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_verify_names_a_huge_kind_briefly(capsys, monkeypatch):
+    # A 7.9 MB kind is named in a few dozen bytes, not echoed to stderr.
+    feed(monkeypatch, json.dumps({"kind": list(range(10**6)), "lo": 1, "hi": 3, "sequences": [[1, 3, 2]]}))
+    code, out, err = invoke(capsys, "verify")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+    assert len(err.encode()) < 1000, len(err)
+
+
 @pytest.mark.parametrize(
     "text",
     [

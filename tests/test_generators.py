@@ -1,5 +1,7 @@
 """Difference-restricted cycles, two-prime cycles, edge-disjoint families."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from primediff.graphs import (
     verify_path,
 )
 from primediff.oracle import brute_diff_restricted_cycle
-from primediff.primes import prime_pair_decompositions
+from primediff.primes import prime_flags, prime_pair_decompositions
 from primediff.transforms import complement
 
 
@@ -136,6 +138,26 @@ def test_disjoint_family_property(n):
     assert verify_edge_disjoint(fam.cycles)
     for c in fam.cycles:
         assert verify_cycle(c)
+
+
+def test_disjoint_family_members_share_vertex_ints():
+    # Every two-prime member is a tuple of slots into one list of the n
+    # vertex ints, so the family holds about 9 bytes per held vertex here,
+    # not a slot plus an int object of its own (38 bytes when each member
+    # built its own ints).
+    prime_flags(4000)
+    tracemalloc.start()
+    try:
+        fam = edge_disjoint_cycles(4000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    vertices = sum(len(c.sequence) for c in fam.cycles)
+    assert len(fam) == 66
+    assert held < 12 * vertices, f"{held / vertices:.1f} bytes per held vertex"
+    _, f5 = n_for_t_disjoint(5)
+    first, second = (sorted(c.sequence, key=int) for c in f5.cycles[:2])
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_n_for_t_disjoint_goldens():

@@ -3,7 +3,9 @@
 import ast
 import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -132,6 +134,13 @@ def test_two_factor_exists():
     assert (exc.value.order, exc.value.cap) == (23, 22)
 
 
+def test_two_factor_search_is_not_bounded_by_the_recursion_limit():
+    # 300 triangles: a recursion of four calls per triangle, 1,200 deep,
+    # passes Python's default limit of 1,000; the explicit stack does not
+    # nest Python calls at all.
+    assert brute_two_factor_exists(900, (3,) * 300, max_order=900)
+
+
 def _prime_permutation_cycle_types(n):
     """Sorted cycle lengths of every permutation of [1, n] that moves each
     vertex by a prime and has no cycle shorter than 3 (n <= 9)."""
@@ -185,9 +194,9 @@ def test_diff_restricted_cycle():
 
 
 def test_restricted_cycle_is_bounded_under_the_cap():
-    # An exhaustive search with no Hamilton cycle to find: the reach-set DP
-    # answers in tens of ms at order 21, where the path search alone would
-    # take seconds to rule out every state.
+    # An exhaustive search with no Hamilton cycle to find: with odd
+    # differences only, at odd order, the parity cut answers at once, where
+    # the path search alone would take seconds to rule out every state.
     t0 = time.perf_counter()
     assert brute_diff_restricted_cycle(21, {3, 5, 7, 11, 13}) is None
     elapsed = time.perf_counter() - t0
@@ -197,7 +206,7 @@ def test_restricted_cycle_is_bounded_under_the_cap():
 def test_restricted_cycle_odd_differences_need_even_order():
     # Every odd step changes parity, so a cycle alternates parities and has
     # even length: no Hamilton cycle of odd order uses odd primes alone.
-    # The DP rules these out without the path search.
+    # The parity cut rules these out without the path search.
     t0 = time.perf_counter()
     for n in range(7, 22, 2):
         for allowed in ({3}, {3, 5}, {5, 7, 11}, {3, 5, 7, 11, 13}, {3, 5, 7, 11, 13, 17, 19}):
@@ -205,6 +214,32 @@ def test_restricted_cycle_odd_differences_need_even_order():
     assert brute_diff_restricted_cycle(20, {3, 5, 7, 11, 13}) is not None
     elapsed = time.perf_counter() - t0
     assert elapsed < 3.0, f"took {elapsed:.2f}s, bound is 3s"
+
+
+def test_restricted_cycle_past_the_cap_in_bounded_memory():
+    # Order 30 in a child process limited to 256 MiB of address space.  The
+    # subset DP's reach sets, about m * 2^(m-1) / 4 bytes (4 GB here), raised
+    # MemoryError; the path search holds only the states that failed.
+    resource = pytest.importorskip("resource")
+    limit = 256 << 20
+    src = str(Path(oracle.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "from primediff.graphs import verify_cycle\n"
+        "from primediff.oracle import brute_diff_restricted_cycle\n"
+        "w = brute_diff_restricted_cycle(30, {3, 5, 7, 11, 13}, max_order=40)\n"
+        "assert w is not None and verify_cycle(w, allowed_diffs={3, 5, 7, 11, 13})\n"
+        "print(*w.sequence)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(map(int, proc.stdout.split())) == list(range(1, 31))
 
 
 def test_two_differences_give_a_cycle_only_with_2_or_3():
@@ -271,6 +306,57 @@ def test_order_30_path_search_peak_memory():
     assert peak < 1 << 20, f"{peak} bytes"
 
 
+# The Held-Karp subset DP (Held & Karp, J. SIAM 10, 1962) that the oracle
+# once used to decide restricted cycles, kept here unchanged as an
+# independent reference for the path search.
+
+
+def _masks_without(b: int, m: int) -> int:
+    """Bitset over all 2^m masks: bit `mask` is set iff bit b is not in mask.
+
+    Built from a repeated byte pattern; big-int arithmetic over 2^m bits
+    would cost as much as the search itself.  For m < 3 the pattern also sets
+    bits past 2^m, which no reach set ever holds.
+    """
+    if b < 3:
+        unit = (b"\x55", b"\x33", b"\x0f")[b]
+    else:
+        half = 1 << (b - 3)
+        unit = b"\xff" * half + b"\x00" * half
+    nbytes = max(1, (1 << m) >> 3)
+    return int.from_bytes(unit * (nbytes // len(unit)), "little")
+
+
+def _reach_sets(adj: list[list[int]]) -> list[int]:
+    """S[v] is a 2^(m-1)-bit int over m - 1 mask bits, m = len(adj), one for
+    each index v > 0 (bit v - 1): bit `mask` is set iff some path v -> 0
+    covers exactly 0 and the vertices whose bits are in mask.
+
+    Anchored at index 0, which takes no mask bit: S[0] = 1 is the empty
+    mask.  A Hamilton cycle through 0 exists iff some neighbor u of 0 has the
+    full mask in S[u].
+    Bit-parallel Held-Karp: one relaxation extends every path of every mask
+    at once, S[v] = (OR of S[u] over neighbors u, restricted to masks without
+    bit(v)) << 2^bit(v), repeated until nothing changes (at most m rounds).
+    """
+    k = len(adj) - 1
+    without = [_masks_without(b, k) for b in range(k)]
+    reach = [0] * len(adj)
+    reach[0] = 1
+    changed = True
+    while changed:
+        changed = False
+        for b, v in enumerate(range(1, len(adj))):
+            acc = 0
+            for u in adj[v]:
+                acc |= reach[u]
+            new = (acc & without[b]) << (1 << b)
+            if new != reach[v]:
+                reach[v] = new
+                changed = True
+    return reach
+
+
 def test_infeasible_pairs_match_the_dp_read_off():
     # The subset DP anchored at index 0 answers every start at once: with the
     # indices of end e and 0 swapped, (i, e) has a Hamilton path iff the reach
@@ -283,7 +369,7 @@ def test_infeasible_pairs_match_the_dp_read_off():
         for e in range(n):
             swap = list(range(n))
             swap[0], swap[e] = e, 0
-            reach = oracle._reach_sets([[swap[j] for j in adj[swap[i]]] for i in range(n)])
+            reach = _reach_sets([[swap[j] for j in adj[swap[i]]] for i in range(n)])
             for i in range(n):
                 if i != e and reach[swap[i]].bit_length() != 1 << (n - 1):
                     want.add((min(i, e) + 1, max(i, e) + 1))
@@ -431,9 +517,9 @@ def test_restricted_cycles_are_pinned():
 
 
 def test_restricted_cycles_past_order_16_are_pinned():
-    # Past the 0-16 pin above, where the DP decides and the path search
-    # builds the cycle: orders 17-22 against five allowed sets, 30 queries
-    # of which 27 have a cycle.  The digest was taken from the DP's greedy walk.
+    # Past the 0-16 pin above: orders 17-22 against five allowed sets, 30
+    # queries of which 27 have a cycle.  The digest was taken from the
+    # subset DP's greedy walk, before the path search built the cycles.
     t0 = time.perf_counter()
     lines = []
     for n in range(17, 23):
