@@ -17,12 +17,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 
 from .errors import Infeasible, NotFound, PrimeDiffError
 from .factors import two_factor
-from .generators import cycle_diff23, cycle_two_primes, edge_disjoint_cycles, path_diff23
-from .graphs import Interval, TwoFactorWitness, verify, witness_from_json, witness_to_json
+from .generators import cycle_diff23, cycle_two_primes, edge_disjoint_cycles, path_diff23, two_prime_cycles
+from .graphs import DisjointFamily, Interval, TwoFactorWitness, verify, witness_from_json, witness_to_json
 from .oracle import brute_hamilton_path, brute_infeasible_pairs
 from .paths import (
     hamilton_cycle,
@@ -30,7 +29,7 @@ from .paths import (
     hamilton_path,
     infeasible_pairs,
 )
-from .primes import prime_arithmetic_progression, prime_pair_decompositions
+from .primes import prime_arithmetic_progression
 
 
 def _dumps(obj) -> str:
@@ -51,14 +50,14 @@ _CHUNK = 1 << 16
 
 
 def _plain(w):
-    """The plain line of `w` in pieces of at most `_CHUNK` vertices."""
-    cycles = w.cycles if isinstance(w, TwoFactorWitness) else (w.sequence,)
-    for i, c in enumerate(cycles):
-        if i:
-            yield " | "
-        for j in range(0, len(c), _CHUNK):
-            yield (" " if j else "") + " ".join(map(str, c[j : j + _CHUNK]))
-    yield "\n"
+    """The plain line of `w`, one per family member, in pieces of at most `_CHUNK` vertices."""
+    for m in w.cycles if isinstance(w, DisjointFamily) else (w,):
+        for i, c in enumerate(m.cycles if isinstance(m, TwoFactorWitness) else (m.sequence,)):
+            if i:
+                yield " | "
+            for j in range(0, len(c), _CHUNK):
+                yield (" " if j else "") + " ".join(map(str, c[j : j + _CHUNK]))
+        yield "\n"
 
 
 def _emit(as_json: bool, obj, text) -> int:
@@ -72,10 +71,6 @@ def _emit(as_json: bool, obj, text) -> int:
 
 def _one(w):
     return (lambda: witness_to_json(w)), (lambda: _plain(w))
-
-
-def _many(ws, **extra):
-    return (lambda: {"witnesses": [witness_to_json(w) for w in ws], **extra}), (lambda: chain(*map(_plain, ws)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,13 +152,9 @@ def _output(args):
     if cmd == "two-prime":
         if args.pair is not None:
             return _one(cycle_two_primes(args.n, args.pair))
-        pairs = prime_pair_decompositions(args.n)
-        if not pairs:
-            raise NotFound(f"no prime pair decompositions of {args.n}")
-        return _many([cycle_two_primes(args.n, pr) for pr in pairs])
+        return _one(two_prime_cycles(args.n))
     if cmd == "disjoint":
-        fam = edge_disjoint_cycles(args.n)
-        return _many(fam.cycles, sources=list(fam.sources))
+        return _one(edge_disjoint_cycles(args.n))
     if cmd == "ap":
         ap = prime_arithmetic_progression(args.k, args.limit)
         if ap is None:

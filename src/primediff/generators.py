@@ -67,17 +67,19 @@ def cycle_diff23(n: int) -> CycleWitness:
     return certify(CycleWitness(Interval(1, n), _seq_cycle23(n)), allowed_diffs={2, 3})
 
 
-def _seq_two_primes(vals: list[int], p: int) -> tuple[int, ...]:
-    """The unchecked sequence of `cycle_two_primes(n, (p, n - p))`: +p modulo
-    n, read from vals = [1, ..., n].
+def _two_prime_cycles(n: int, ps) -> list[CycleWitness]:
+    """The unchecked cycles `cycle_two_primes(n, (p, n - p))` for each p in
+    `ps`: +p modulo n, read from one list vals = [1, ..., n].
 
     Lap j of the walk is the stride-p slice of vals from (-j*n) mod p, so the
-    members of one family share vals' int objects instead of each holding n
-    of its own.  Already canonical as built: it starts at 1, and its second
-    vertex p + 1 is below its last, (n - 1)p mod n + 1 = n - p + 1.
+    cycles share vals' int objects instead of each holding n of its own.
+    Each is canonical as built: it starts at 1, and its second vertex p + 1
+    is below its last, (n - 1)p mod n + 1 = n - p + 1.
     """
-    n = len(vals)
-    return tuple(chain.from_iterable(vals[(-j * n) % p :: p] for j in range(p)))
+    interval, vals = Interval(1, n), list(range(1, n + 1))
+    return [
+        CycleWitness(interval, tuple(chain.from_iterable(vals[(-j * n) % p :: p] for j in range(p)))) for p in ps
+    ]
 
 
 def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
@@ -95,7 +97,19 @@ def cycle_two_primes(n: int, pair: tuple[int, int]) -> CycleWitness:
         raise ValueError(f"{p} + {q} != {n}")
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"({p}, {q}) is not a prime pair")
-    return certify(CycleWitness(Interval(1, n), _seq_two_primes(list(range(1, n + 1)), p)), allowed_diffs={p, q})
+    return certify(_two_prime_cycles(n, (p,))[0], allowed_diffs={p, q})
+
+
+def two_prime_cycles(n: int) -> DisjointFamily:
+    """`cycle_two_primes(n, pair)` for every prime pair of n, ascending in p,
+    as a family with no labels.  Each cycle is certified against its own
+    pair, so no two share a difference, nor an edge."""
+    pairs = prime_pair_decompositions(n)
+    if not pairs:
+        raise NotFound(f"no prime pair decompositions of {n}")
+    cycles = _two_prime_cycles(n, [p for p, _ in pairs])
+    certified = tuple(certify(c, allowed_diffs=set(pq)) for c, pq in zip(cycles, pairs))
+    return DisjointFamily(Interval(1, n), certified, ())
 
 
 def edge_disjoint_cycles(n: int) -> DisjointFamily:
@@ -112,13 +126,9 @@ def edge_disjoint_cycles(n: int) -> DisjointFamily:
         raise ValueError(f"need n >= 5, got {n}")
     interval = Interval(1, n)
     use_23 = n == 5 or n >= 10
-    vals = list(range(1, n + 1))
-    cycles: list[CycleWitness] = []
-    sources: list[str] = []
-    for p, q in prime_pair_decompositions(n):
-        if not (use_23 and p in (2, 3)):
-            cycles.append(CycleWitness(interval, _seq_two_primes(vals, p)))
-            sources.append(f"pair:{p},{q}")
+    pairs = [(p, q) for p, q in prime_pair_decompositions(n) if not (use_23 and p in (2, 3))]
+    cycles = _two_prime_cycles(n, [p for p, _ in pairs])
+    sources = [f"pair:{p},{q}" for p, q in pairs]
     if use_23:
         cycles.append(CycleWitness(interval, _seq_cycle23(n)))
         sources.append("diff23")
@@ -147,8 +157,6 @@ def n_for_t_disjoint(t: int, search_limit: int = 10_000) -> tuple[int, DisjointF
             f"no {2 * t}-term prime progression with first term and difference at most {search_limit}"
         )
     n = ap[0] + ap[-1]
-    interval = Interval(1, n)
-    vals = list(range(1, n + 1))
-    cycles = tuple(CycleWitness(interval, _seq_two_primes(vals, ap[i])) for i in range(t))
+    cycles = tuple(_two_prime_cycles(n, ap[:t]))
     sources = tuple(f"pair:{ap[i]},{ap[2 * t - 1 - i]}" for i in range(t))
-    return n, certify(DisjointFamily(interval, cycles, sources))
+    return n, certify(DisjointFamily(Interval(1, n), cycles, sources))

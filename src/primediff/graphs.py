@@ -175,24 +175,17 @@ def _walk(seqs, lo: int, hi: int, closed: bool, allowed, per_cycle: bool = False
     return OK
 
 
-def _check_seq(w, closed: bool, allowed=None, diffs=None) -> Verdict:
-    """The vertex set, the cycle length and the steps of a path (closed:
-    cycle); `diffs` as in `_walk`."""
+def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, allowed_diffs=None, diffs=None):
+    """Path (closed: cycle) checks, in order of precedence; `diffs` as in `_walk`."""
     seq = w.sequence
     lo, hi = w.interval.lo, w.interval.hi
     if not _covers((seq,), lo, hi):
         return _fail(NOT_PERMUTATION)
     if closed and len(seq) < 3:
         return _fail(SHORT_CYCLE, length=len(seq))
-    return _walk((seq,), lo, hi, closed, allowed, diffs=diffs)
-
-
-def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, allowed_diffs=None) -> Verdict:
-    """Path (closed: cycle) checks, in the order their violations take precedence."""
-    v = _check_seq(w, closed, allowed_diffs)
+    v = _walk((seq,), lo, hi, closed, allowed_diffs, diffs=diffs)
     if not v:
         return v
-    seq = w.sequence
     if expected_endpoints is not None and (seq[0], seq[-1]) != tuple(expected_endpoints):
         return _fail(WRONG_ENDPOINTS, expected=tuple(expected_endpoints), actual=(seq[0], seq[-1]))
     if required_edge is not None:
@@ -267,19 +260,21 @@ def _shared_edges(cycles, diffs) -> Verdict:
         return OK
     seqs = [c.sequence for c in cycles if c.sequence]
     w = max(map(max, seqs)) - min(map(min, seqs)) + 1
-    seen: set[int] = set()
+    # Edge key -> the member that holds it.  Keys enter only from members
+    # that share none, so each key has exactly one owner.
+    seen: dict[int, int] = {}
     for idx, c in enumerate(cycles):
         seq = c.sequence
         pairs = zip(seq, seq[1:] + seq[:1])
         keys = {u * w + v if u <= v else v * w + u for u, v in pairs if abs(u - v) in shared}
-        if seen.isdisjoint(keys):
-            seen |= keys
+        if seen.keys().isdisjoint(keys):
+            seen.update(dict.fromkeys(keys, idx))
             continue
         # Name the first shared edge in cycle_edges order, and its owner.
         for e in cycle_edges(seq):
             edge = tuple(sorted(e))
-            if edge[0] * w + edge[-1] in seen:
-                owner = next(j for j in range(idx) if e in cycle_edges(cycles[j].sequence))
+            owner = seen.get(edge[0] * w + edge[-1])
+            if owner is not None:
                 return _fail(SHARED_EDGE, edge=edge, cycles=(owner, idx))
     return OK
 
@@ -289,7 +284,7 @@ def _verify_family(w: DisjointFamily) -> Verdict:
     edge, counted from the differences the member checks found."""
     diffs: list[set[int]] = []
     for idx, c in enumerate(w.cycles):
-        v = _check_seq(c, True, diffs=diffs) if c.interval == w.interval else _fail(NOT_PERMUTATION)
+        v = _verify_seq(c, True, diffs=diffs) if c.interval == w.interval else _fail(NOT_PERMUTATION)
         if not v:
             return _fail(v.reason, cycle=idx, **(v.detail or {}))
     return _shared_edges(w.cycles, diffs)
@@ -340,7 +335,11 @@ _KINDS = {PathWitness: "path", CycleWitness: "cycle", TwoFactorWitness: "two_fac
 
 
 def witness_to_json(w) -> dict:
-    """Stable JSON form: {"kind", "lo", "hi", "sequences"}."""
+    """Stable JSON form: {"kind", "lo", "hi", "sequences"}; a family is
+    {"sources", "witnesses"}, with no "sources" when it has no labels."""
+    if isinstance(w, DisjointFamily):
+        obj = {"witnesses": [witness_to_json(c) for c in w.cycles]}
+        return {"sources": list(w.sources), **obj} if w.sources else obj
     for cls, kind in _KINDS.items():
         if isinstance(w, cls):
             seqs = w.cycles if cls is TwoFactorWitness else (w.sequence,)
@@ -348,10 +347,21 @@ def witness_to_json(w) -> dict:
     raise TypeError(f"not a witness: {type(w).__name__}")
 
 
-def witness_from_json(obj) -> PathWitness | CycleWitness | TwoFactorWitness:
+def witness_from_json(obj) -> PathWitness | CycleWitness | TwoFactorWitness | DisjointFamily:
     """Parse the schema above; malformed objects raise ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("witness must be a JSON object")
+    if "witnesses" in obj:
+        ws, sources = obj["witnesses"], obj.get("sources", [])
+        if not (isinstance(ws, list) and ws):
+            raise ValueError("witnesses must be a nonempty list")
+        if not (isinstance(sources, list) and set(map(type, sources)) <= {str}):
+            raise ValueError("sources must be a list of strings")
+        # Checked before parsing, so a nested family is refused, not recursed into.
+        if not all(isinstance(m, dict) and m.get("kind") == "cycle" and "witnesses" not in m for m in ws):
+            raise ValueError("family members must be cycle witnesses")
+        cycles = tuple(map(witness_from_json, ws))
+        return DisjointFamily(cycles[0].interval, cycles, tuple(sources))
     try:
         kind = obj["kind"]
         lo = obj["lo"]

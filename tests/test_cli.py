@@ -14,7 +14,7 @@ import primediff
 from primediff.cli import run
 from primediff.factors import two_factor
 from primediff.generators import edge_disjoint_cycles
-from primediff.graphs import NOT_PERMUTATION, TwoFactorWitness, Verdict, witness_to_json
+from primediff.graphs import NOT_PERMUTATION, TwoFactorWitness, Verdict, verify_edge_disjoint, witness_to_json
 from primediff.paths import hamilton_cycle_through_edge, hamilton_path
 
 
@@ -332,6 +332,8 @@ def test_verify_rejects_json_booleans(text, capsys, monkeypatch):
         ("diff23", "25", "--path"),
         ("two-prime", "9", "--pair", "2,7"),
         ("oracle-path", "10", "2", "9"),
+        *(("disjoint", n) for n in ("5", "6", "20", "30", "1000")),
+        ("two-prime", "16"),
     ],
 )
 def test_emitted_witnesses_round_trip_through_verify(argv, capsys, monkeypatch):
@@ -340,6 +342,45 @@ def test_emitted_witnesses_round_trip_through_verify(argv, capsys, monkeypatch):
     feed(monkeypatch, out)
     code, out2, _ = invoke(capsys, "verify")
     assert code == 0 and out2 == "ok\n"
+    # `verify --json` echoes the bytes it read, families included, with "ok" as printed.
+    feed(monkeypatch, out)
+    assert invoke(capsys, "verify", "--json") == (0, out, "")
+
+
+FAMILY_MEMBER = '{"hi":5,"kind":"cycle","lo":1,"sequences":[[1,4,2,5,3]]}'
+# The same cycle reversed and rotated, so it shares every edge.
+SAME_EDGES = '{"hi":5,"kind":"cycle","lo":1,"sequences":[[1,3,5,2,4]]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"witnesses":[]}',
+        '{"witnesses":{}}',
+        '{"witnesses":[%s],"sources":"a"}' % FAMILY_MEMBER,
+        '{"witnesses":[%s,{"hi":5,"kind":"path","lo":1,"sequences":[[1,4,2,5,3]]}]}' % FAMILY_MEMBER,
+        '{"witnesses":[{"witnesses":[%s]}]}' % FAMILY_MEMBER,
+    ],
+    ids=["empty", "object", "sources-not-list", "path-member", "nested-family"],
+)
+def test_verify_rejects_malformed_families(text, capsys, monkeypatch):
+    feed(monkeypatch, text)
+    code, out, err = invoke(capsys, "verify", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage" and "Traceback" not in err
+
+
+def test_verify_names_a_family_s_shared_edge(capsys, monkeypatch):
+    # Member 0 again: the detail is the one verify_edge_disjoint gives.
+    obj = json.loads(invoke(capsys, "disjoint", "30", "--json")[1])
+    obj["witnesses"].append(obj["witnesses"][0])
+    feed(monkeypatch, json.dumps(obj))
+    code, out, err = invoke(capsys, "verify")
+    fam = edge_disjoint_cycles(30)
+    v = verify_edge_disjoint(fam.cycles + fam.cycles[:1])
+    assert (code, out) == (1, "violation: SharedEdge\n")
+    assert err == '{"detail":{"cycles":[0,4],"edge":[10,17]},"error":"SharedEdge"}\n'
+    assert json.loads(err)["detail"] == json.loads(json.dumps(v.detail))
 
 
 def test_multi_witness_round_trip(capsys, monkeypatch):
@@ -376,6 +417,10 @@ PINNED_SWEEP = [
     (("verify",), '{"kind":"two_factor","lo":1,"hi":7,"sequences":[[1,3,6],[2,4,5,7]]}', 1,
      "violation: NonPrimeDifference\n",
      '{"detail":{"cycle":1,"difference":1,"position":1},"error":"NonPrimeDifference"}\n'),
+    (("verify", "--json"), '{"sources":["pair:2,3","again"],"witnesses":[%s,%s]}' % (FAMILY_MEMBER, SAME_EDGES), 1,
+     '{"ok":false,"reason":"SharedEdge","sources":["pair:2,3","again"],"witnesses":[%s,%s]}\n'
+     % (FAMILY_MEMBER, SAME_EDGES),
+     '{"detail":{"cycles":[0,1],"edge":[1,4]},"error":"SharedEdge"}\n'),
     (("two-prime", "16"), None, 0,
      "1 4 7 10 13 16 3 6 9 12 15 2 5 8 11 14\n1 6 11 16 5 10 15 4 9 14 3 8 13 2 7 12\n", ""),
     (("two-prime", "16", "--json"), None, 0,
@@ -416,7 +461,10 @@ PINNED_SWEEP = [
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, code, out, err", PINNED_SWEEP, ids=[" ".join(case[0]) for case in PINNED_SWEEP]
+    "argv, stdin, code, out, err",
+    PINNED_SWEEP,
+    # A family on stdin is named apart, so the id of each other row stays its argv.
+    ids=[" ".join(case[0]) + (" < family" if "witnesses" in (case[1] or "") else "") for case in PINNED_SWEEP],
 )
 def test_pinned_sweep(argv, stdin, code, out, err, capsys, monkeypatch):
     """`stdin` is the text fed to the command, or "fail-self-checks" to make

@@ -13,6 +13,7 @@ from primediff.generators import (
     edge_disjoint_cycles,
     n_for_t_disjoint,
     path_diff23,
+    two_prime_cycles,
 )
 from primediff.graphs import (
     Interval,
@@ -158,6 +159,23 @@ def test_disjoint_family_members_share_vertex_ints():
     _, f5 = n_for_t_disjoint(5)
     first, second = (sorted(c.sequence, key=int) for c in f5.cycles[:2])
     assert all(a is b for a, b in zip(first, second))
+
+
+def test_all_pairs_two_prime_cycles_share_vertex_ints():
+    # The CLI's `two-prime n` list: one cycle per prime pair, each certified
+    # against its own pair, all read from one list of the n vertex ints.
+    prime_flags(4000)
+    tracemalloc.start()
+    try:
+        fam = two_prime_cycles(4000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    vertices = sum(len(c.sequence) for c in fam.cycles)
+    assert held < 12 * vertices, f"{held / vertices:.1f} bytes per held vertex"
+    assert fam.sources == ()
+    pairs = prime_pair_decompositions(4000)
+    assert [c.sequence for c in fam.cycles] == [cycle_two_primes(4000, pq).sequence for pq in pairs]
 
 
 def test_n_for_t_disjoint_goldens():

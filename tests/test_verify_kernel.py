@@ -98,6 +98,23 @@ def test_family_walks_each_member_once(big, monkeypatch):
     assert len(calls) == len(fam.cycles) == 128
 
 
+def test_shared_edge_owner_is_read_from_the_key_map(big, monkeypatch):
+    # The last member again: the report walks the edges of the failing
+    # member only, and reads the owner of the shared edge from the keys.
+    calls = []
+
+    def counted(seq):
+        calls.append(len(seq))
+        return edges(seq)
+
+    edges = graphs.cycle_edges
+    monkeypatch.setattr(graphs, "cycle_edges", counted)
+    fam = big["family"]
+    v = verify(DisjointFamily(fam.interval, fam.cycles + fam.cycles[-1:], fam.sources + fam.sources[-1:]))
+    assert (v.ok, v.reason, v.detail) == (False, graphs.SHARED_EDGE, {"edge": (3406, 3408), "cycles": (127, 128)})
+    assert calls == [10_000]
+
+
 @st.composite
 def covers_cases(draw):
     """(seqs, lo, hi): int lists drawn from [lo - 2n, hi + 2n], n = hi - lo + 1,

@@ -210,9 +210,17 @@ def test_canonical_cycle_invariant_under_rotation_and_reflection(seq, rot, flip)
 
 
 def test_json_round_trip():
-    for w in (P5, C9, TwoFactorWitness(Interval(1, 7), ((1, 3, 6), (2, 5, 7, 4)))):
+    for w in (
+        P5,
+        C9,
+        TwoFactorWitness(Interval(1, 7), ((1, 3, 6), (2, 5, 7, 4))),
+        DisjointFamily(Interval(1, 9), (C9, C9), ("pair:2,7", "again")),
+        DisjointFamily(Interval(1, 9), (C9,), ()),
+    ):
         obj = witness_to_json(w)
         assert witness_from_json(obj) == w
+    # A family with no labels has no "sources" key.
+    assert witness_to_json(DisjointFamily(Interval(1, 9), (C9,), ())) == {"witnesses": [witness_to_json(C9)]}
     assert witness_to_json(P5) == {
         "kind": "path",
         "lo": 1,
@@ -240,6 +248,15 @@ def test_json_rejects_malformed():
         ({**cycle, "sequences": [[1, 3, 5], [7, 9, 2, 4, 6, 8]]}, "a cycle witness has exactly one sequence"),
         ({**good, "sequences": [["a"]]}, "sequences must be a list of integer lists"),
         ({k: v for k, v in good.items() if k != "hi"}, "witness missing field 'hi'"),
+        ({"witnesses": []}, "witnesses must be a nonempty list"),
+        ({"witnesses": cycle}, "witnesses must be a nonempty list"),
+        ({"witnesses": [cycle], "sources": "pair:2,7"}, "sources must be a list of strings"),
+        ({"witnesses": [cycle], "sources": [1]}, "sources must be a list of strings"),
+        ({"witnesses": [cycle, good]}, "family members must be cycle witnesses"),
+        ({"witnesses": [cycle, 42]}, "family members must be cycle witnesses"),
+        ({"witnesses": [{"witnesses": [cycle]}]}, "family members must be cycle witnesses"),
+        ({"witnesses": [{**cycle, "witnesses": [cycle]}]}, "family members must be cycle witnesses"),
+        ({"witnesses": [{**cycle, "lo": "1"}]}, "lo and hi must be integers"),
     ):
         with pytest.raises(ValueError) as e:
             witness_from_json(broken)
