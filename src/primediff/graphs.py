@@ -175,7 +175,7 @@ def _walk(seqs, lo: int, hi: int, closed: bool, allowed, per_cycle: bool = False
     return OK
 
 
-def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, allowed_diffs=None, diffs=None):
+def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, allowed_diffs=None, diffs=None) -> Verdict:
     """Path (closed: cycle) checks, in order of precedence; `diffs` as in `_walk`."""
     seq = w.sequence
     lo, hi = w.interval.lo, w.interval.hi
@@ -260,8 +260,7 @@ def _shared_edges(cycles, diffs) -> Verdict:
         return OK
     seqs = [c.sequence for c in cycles if c.sequence]
     w = max(map(max, seqs)) - min(map(min, seqs)) + 1
-    # Edge key -> the member that holds it.  Keys enter only from members
-    # that share none, so each key has exactly one owner.
+    # Edge key -> its one owner: keys enter only from members that share none.
     seen: dict[int, int] = {}
     for idx, c in enumerate(cycles):
         seq = c.sequence

@@ -353,21 +353,22 @@ SAME_EDGES = '{"hi":5,"kind":"cycle","lo":1,"sequences":[[1,3,5,2,4]]}'
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        '{"witnesses":[]}',
-        '{"witnesses":{}}',
-        '{"witnesses":[%s],"sources":"a"}' % FAMILY_MEMBER,
-        '{"witnesses":[%s,{"hi":5,"kind":"path","lo":1,"sequences":[[1,4,2,5,3]]}]}' % FAMILY_MEMBER,
-        '{"witnesses":[{"witnesses":[%s]}]}' % FAMILY_MEMBER,
+        ('{"witnesses":[]}', "witnesses must be a nonempty list"),
+        ('{"witnesses":{}}', "witnesses must be a nonempty list"),
+        ('{"witnesses":[%s],"sources":"a"}' % FAMILY_MEMBER, "sources must be a list of strings"),
+        ('{"witnesses":[%s,{"hi":5,"kind":"path","lo":1,"sequences":[[1,4,2,5,3]]}]}' % FAMILY_MEMBER,
+         "family members must be cycle witnesses"),
+        ('{"witnesses":[{"witnesses":[%s]}]}' % FAMILY_MEMBER, "family members must be cycle witnesses"),
     ],
     ids=["empty", "object", "sources-not-list", "path-member", "nested-family"],
 )
-def test_verify_rejects_malformed_families(text, capsys, monkeypatch):
+def test_verify_rejects_malformed_families(text, message, capsys, monkeypatch):
     feed(monkeypatch, text)
     code, out, err = invoke(capsys, "verify", "--json")
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "usage" and "Traceback" not in err
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "detail": {"message": message}}
 
 
 def test_verify_names_a_family_s_shared_edge(capsys, monkeypatch):
