@@ -46,7 +46,8 @@ _BLOCKS: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
     (4, 7): ((1, 3, 8, 6), (2, 5, 10, 7, 9, 11, 4)),
     (4, 8): ((1, 3, 8, 6), (2, 5, 10, 7, 12, 9, 11, 4)),
 }
-_KEY_PARTS = max(map(len, _BLOCKS))  # longer remainders skip the lookup
+_KEY_PARTS = max(map(len, _BLOCKS))  # remainders with more parts skip the lookup,
+_KEY_PART = max(map(max, _BLOCKS))  # and so do those with a longer part
 
 
 # A long part beside a few short cycles.  _LONG[short] = (cycles, head, j, d,
@@ -128,7 +129,7 @@ def _realize(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     cycles: list[tuple[int, ...]] = []
     k = 0  # vertices placed so far: the next piece starts at k + 1
     while threes or fours or big:
-        if threes + fours + len(big) <= _KEY_PARTS:
+        if threes + fours + len(big) <= _KEY_PARTS and (not big or big[0] <= _KEY_PART):
             if _block(cycles, (3,) * threes + (4,) * fours + tuple(reversed(big)), k):
                 break
         if threes and fours:

@@ -86,7 +86,7 @@ class TwoFactorWitness:
 
     @property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles))
+        return tuple(sorted(map(len, self.cycles)))
 
 
 @dataclass(frozen=True)
@@ -122,26 +122,39 @@ def _fail(reason: str, **detail) -> Verdict:
     return Verdict(False, reason, detail or None)
 
 
-def _covers(seqs, lo: int, hi: int) -> bool:
-    """Whether `seqs` together hold each vertex of [lo, hi] exactly once.
+def _scan(seqs, lo: int, hi: int, closed: bool):
+    """(covers, steps): whether `seqs` hold each vertex of [lo, hi] exactly
+    once, and if so the set of their signed steps, wrapping when closed.
 
-    Once the count is right, one byte per vertex decides: each vertex v marks
-    byte v - lo, and an index past either end (v > hi or v < lo - n) raises
-    IndexError.  A vertex in [lo - n, lo) wraps onto the byte of v + n, which
-    only the sum shows: the count, every byte marked and the sum of [lo, hi]
-    hold together exactly when the vertices are [lo, hi], each once.
+    One loop per sequence marks each vertex's byte and adds its step from
+    the previous vertex, starting at s[-1] when closed; an open sequence
+    starts at s[0] and drops the 0 this adds.  The mark is indexed by v
+    itself when lo <= n, and by v - lo only past that, since v - lo makes a
+    new int for every vertex above 256.  Once the count is right, an index
+    past either end raises IndexError, and a negative one marks the byte
+    len(mark) above it, which only the sum shows: the count, every byte of
+    [lo, hi] marked and the sum of [lo, hi] hold together exactly when the
+    vertices are [lo, hi], each once.
     """
     n = hi - lo + 1
+    steps: set[int] = set()
     if sum(map(len, seqs)) != n or not all(seqs):
-        return False
-    mark = bytearray(n)
+        return False, steps
+    off = lo if lo > n else 0
+    mark = bytearray(hi + 1 - off)
+    add = steps.add
     try:
         for s in seqs:
-            for v in s:
-                mark[v - lo] = 1
+            p = (s[-1] if closed else s[0]) - off
+            for v in map((-off).__add__, s) if off else s:
+                mark[v] = 1
+                add(v - p)
+                p = v
     except IndexError:
-        return False
-    return mark.find(0) < 0 and sum(map(sum, seqs)) == n * (lo + hi) // 2
+        return False, steps
+    if not closed:
+        steps.discard(0)
+    return mark.find(0, lo - off) < 0 and sum(map(sum, seqs)) == n * (lo + hi) // 2, steps
 
 
 def _steps(seq, closed: bool):
@@ -150,22 +163,20 @@ def _steps(seq, closed: bool):
     return chain(steps, (seq[0] - seq[-1],)) if closed else steps
 
 
-def _walk(seqs, lo: int, hi: int, closed: bool, allowed, per_cycle: bool = False, diffs=None) -> Verdict:
-    """The one check of a witness's steps, wrapping around each sequence when closed.
+def _walk(seqs, steps, span: int, closed: bool, allowed, per_cycle: bool = False, diffs=None) -> Verdict:
+    """The one check of a witness's `steps`, as `_scan` found them.
 
-    Callers have already checked the vertex set, so every difference is at
-    most hi - lo.  Each distinct difference is looked up once, in the shared
-    prime bitmap and in `allowed`; only when one misses are the steps walked
-    in order, to name the first miss and the rule it broke.  `diffs`, when
-    given, receives the set of distinct |differences|.
+    Every difference is at most `span` = hi - lo.  Each distinct difference
+    is looked up once, in the shared prime bitmap and in `allowed`; only
+    when one misses are the steps walked in order, to name the first miss
+    and the rule it broke.  `diffs`, when given, receives the set of
+    distinct |differences|.
     """
-    flags = primes.prime_flags(hi - lo)
-    distinct: set[int] = set()
-    for seq in seqs:
-        distinct.update(_steps(seq, closed))
+    flags = primes.prime_flags(span)
+    dist = set(map(abs, steps))
     if diffs is not None:
-        diffs.append(set(map(abs, distinct)))
-    misses = {d for d in map(abs, distinct) if not flags[d] or (allowed is not None and d not in allowed)}
+        diffs.append(dist)
+    misses = {d for d in dist if not flags[d] or (allowed is not None and d not in allowed)}
     if misses:
         for idx, seq in enumerate(seqs):
             for i, d in enumerate(map(abs, _steps(seq, closed))):
@@ -179,11 +190,12 @@ def _verify_seq(w, closed: bool, expected_endpoints=None, required_edge=None, al
     """Path (closed: cycle) checks, in order of precedence; `diffs` as in `_walk`."""
     seq = w.sequence
     lo, hi = w.interval.lo, w.interval.hi
-    if not _covers((seq,), lo, hi):
+    covers, steps = _scan((seq,), lo, hi, closed)
+    if not covers:
         return _fail(NOT_PERMUTATION)
     if closed and len(seq) < 3:
         return _fail(SHORT_CYCLE, length=len(seq))
-    v = _walk((seq,), lo, hi, closed, allowed_diffs, diffs=diffs)
+    v = _walk((seq,), steps, hi - lo, closed, allowed_diffs, diffs=diffs)
     if not v:
         return v
     if expected_endpoints is not None and (seq[0], seq[-1]) != tuple(expected_endpoints):
@@ -215,7 +227,8 @@ def verify_cycle(
 def verify_two_factor(w: TwoFactorWitness, expected_lengths=None) -> Verdict:
     """Disjoint prime-difference cycles of length >= 3 covering the interval."""
     lo, hi = w.interval.lo, w.interval.hi
-    if not (all(len(c) >= 3 for c in w.cycles) and _covers(w.cycles, lo, hi)):
+    covers, steps = _scan(w.cycles, lo, hi, True) if min(map(len, w.cycles), default=0) >= 3 else (False, None)
+    if not covers:
         # Scan again to name the first violation, cycle by cycle.
         seen: set[int] = set()
         for idx, cyc in enumerate(w.cycles):
@@ -226,7 +239,7 @@ def verify_two_factor(w: TwoFactorWitness, expected_lengths=None) -> Verdict:
                 return _fail(NOT_PARTITION, cycle=idx)
             seen |= s
         return _fail(NOT_PARTITION)
-    v = _walk(w.cycles, lo, hi, True, None, per_cycle=True)
+    v = _walk(w.cycles, steps, hi - lo, True, None, per_cycle=True)
     if not v:
         return v
     if expected_lengths is not None:

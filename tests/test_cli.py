@@ -393,80 +393,90 @@ def test_multi_witness_round_trip(capsys, monkeypatch):
         assert code == 0 and out2 == "ok\n"
 
 
-# Pinned sweep: exact stdout, stderr and exit code, byte for byte.
+# Pinned sweep: exact stdout, stderr and exit code, byte for byte.  Each row
+# carries its own id, so a second row with the argv of another renames neither.
 CYCLE_60_THROUGH_20_27 = (
     "20,18,16,14,12,10,8,6,3,1,4,2,5,7,9,11,13,15,17,19,21,23,25,22,24,26,28,30,32,34,"
     "36,38,40,42,44,46,48,50,52,54,57,59,56,58,60,55,53,51,49,47,45,43,41,39,37,35,33,31,29,27"
 )
 PINNED_SWEEP = [
-    (("path", "9", "4", "5", "--json"), None, 0,
-     '{"hi":9,"kind":"path","lo":1,"ok":true,"sequences":[[4,1,3,8,6,9,7,2,5]]}\n', ""),
-    (("path", "7", "4", "5"), None, 1, "",
-     '{"detail":{"endpoints":[4,5],"message":"no Hamilton path between 4 and 5 at order 7","n":7},'
-     '"error":"infeasible"}\n'),
-    (("cycle", "60", "--through", "20,27", "--json"), None, 0,
-     '{"hi":60,"kind":"cycle","lo":1,"ok":true,"sequences":[[' + CYCLE_60_THROUGH_20_27 + "]]}\n", ""),
-    (("two-factor", "19", "--lengths", "3,4,5,7", "--json"), None, 0,
-     '{"hi":19,"kind":"two_factor","lo":1,"ok":true,'
-     '"sequences":[[1,3,6],[2,5,7,4],[8,10,12,9,11],[13,18,15,17,14,19,16]]}\n', ""),
-    (("diff23", "30", "--path", "--json"), None, 0,
-     '{"hi":30,"kind":"path","lo":1,"ok":true,"sequences":[[30,28,26,24,22,20,18,16,14,12,10,8,6,'
-     '3,1,4,2,5,7,9,11,13,15,17,19,21,23,25,27,29]]}\n', ""),
-    (("verify", "--json"), '{"kind":"cycle","lo":1,"hi":4,"sequences":[[2,4,1,3]]}', 1,
-     '{"hi":4,"kind":"cycle","lo":1,"ok":false,"reason":"NonPrimeDifference","sequences":[[2,4,1,3]]}\n',
-     '{"detail":{"difference":1,"position":3},"error":"NonPrimeDifference"}\n'),
-    (("verify",), '{"kind":"two_factor","lo":1,"hi":7,"sequences":[[1,3,6],[2,4,5,7]]}', 1,
-     "violation: NonPrimeDifference\n",
-     '{"detail":{"cycle":1,"difference":1,"position":1},"error":"NonPrimeDifference"}\n'),
-    (("verify", "--json"), '{"sources":["pair:2,3","again"],"witnesses":[%s,%s]}' % (FAMILY_MEMBER, SAME_EDGES), 1,
-     '{"ok":false,"reason":"SharedEdge","sources":["pair:2,3","again"],"witnesses":[%s,%s]}\n'
-     % (FAMILY_MEMBER, SAME_EDGES),
-     '{"detail":{"cycles":[0,1],"edge":[1,4]},"error":"SharedEdge"}\n'),
-    (("two-prime", "16"), None, 0,
-     "1 4 7 10 13 16 3 6 9 12 15 2 5 8 11 14\n1 6 11 16 5 10 15 4 9 14 3 8 13 2 7 12\n", ""),
-    (("two-prime", "16", "--json"), None, 0,
-     '{"ok":true,"witnesses":[{"hi":16,"kind":"cycle","lo":1,"sequences":[[1,4,7,10,13,16,3,6,9,12,15,2,5,8,11,14]]},'
-     '{"hi":16,"kind":"cycle","lo":1,"sequences":[[1,6,11,16,5,10,15,4,9,14,3,8,13,2,7,12]]}]}\n', ""),
-    (("two-prime", "9", "--pair", "2,7", "--json"), None, 0,
-     '{"hi":9,"kind":"cycle","lo":1,"ok":true,"sequences":[[1,3,5,7,9,2,4,6,8]]}\n', ""),
-    (("disjoint", "20"), None, 0,
-     "1 8 15 2 9 16 3 10 17 4 11 18 5 12 19 6 13 20 7 14\n11 9 7 5 2 4 1 3 6 8 10 12 14 16 19 17 20 18 15 13\n", ""),
-    (("disjoint", "20", "--json"), None, 0,
-     '{"ok":true,"sources":["pair:7,13","diff23"],"witnesses":['
-     '{"hi":20,"kind":"cycle","lo":1,"sequences":[[1,8,15,2,9,16,3,10,17,4,11,18,5,12,19,6,13,20,7,14]]},'
-     '{"hi":20,"kind":"cycle","lo":1,"sequences":[[11,9,7,5,2,4,1,3,6,8,10,12,14,16,19,17,20,18,15,13]]}]}\n', ""),
-    (("ap", "6"), None, 0, "7 37 67 97 127 157\n", ""),
-    (("ap", "6", "--json"), None, 0, '{"ok":true,"progression":[7,37,67,97,127,157]}\n', ""),
-    (("ap", "12"), None, 1, "",
-     '{"detail":{"message":"no 12-term prime progression with first term and difference at most 10000"},'
-     '"error":"not_found"}\n'),
-    (("exceptions", "8"), None, 0, "(4,5)\n", ""),
-    (("exceptions", "8", "--json"), None, 0, '{"ok":true,"pairs":[[4,5]]}\n', ""),
-    (("exceptions", "9"), None, 0, "", ""),
-    (("exceptions", "7", "--oracle", "--json"), None, 0, '{"ok":true,"pairs":[[3,4],[4,5]]}\n', ""),
-    (("oracle-path", "12", "3", "4", "--json"), None, 0,
-     '{"hi":12,"kind":"path","lo":1,"ok":true,"sequences":[[3,1,6,8,5,2,7,10,12,9,11,4]]}\n', ""),
-    (("oracle-path", "8", "4", "5"), None, 1, "",
-     '{"detail":{"endpoints":[4,5],"message":"no Hamilton path between 4 and 5 at order 8","n":8},'
-     '"error":"infeasible"}\n'),
-    (("cycle", "9", "--through", "1,5"), None, 1, "",
-     '{"detail":{"message":"|1 - 5| = 4 is not prime"},"error":"non_edge"}\n'),
-    (("oracle-path", "23", "1", "2"), None, 1, "",
-     '{"detail":{"cap":22,"message":"order 23 exceeds brute-force cap 22","order":23},'
-     '"error":"order_cap_exceeded"}\n'),
-    (("path", "4", "1", "2"), None, 2, "",
-     '{"detail":{"message":"order 4 below the supported range (n >= 5)"},"error":"usage"}\n'),
-    (("path", "9", "1", "2"), "fail-self-checks", 1, "",
-     '{"detail":{"message":"PathWitness self-check failed: NotPermutation None"},"error":"construction_error"}\n'),
+    pytest.param(("path", "9", "4", "5", "--json"), None, 0,
+        '{"hi":9,"kind":"path","lo":1,"ok":true,"sequences":[[4,1,3,8,6,9,7,2,5]]}\n', "",
+        id="path 9 4 5 --json"),
+    pytest.param(("path", "7", "4", "5"), None, 1, "",
+        '{"detail":{"endpoints":[4,5],"message":"no Hamilton path between 4 and 5 at order 7","n":7},'
+        '"error":"infeasible"}\n', id="path 7 4 5"),
+    pytest.param(("cycle", "60", "--through", "20,27", "--json"), None, 0,
+        '{"hi":60,"kind":"cycle","lo":1,"ok":true,"sequences":[[' + CYCLE_60_THROUGH_20_27 + "]]}\n", "",
+        id="cycle 60 --through 20,27 --json"),
+    pytest.param(("two-factor", "19", "--lengths", "3,4,5,7", "--json"), None, 0,
+        '{"hi":19,"kind":"two_factor","lo":1,"ok":true,'
+        '"sequences":[[1,3,6],[2,5,7,4],[8,10,12,9,11],[13,18,15,17,14,19,16]]}\n', "",
+        id="two-factor 19 --lengths 3,4,5,7 --json"),
+    pytest.param(("diff23", "30", "--path", "--json"), None, 0,
+        '{"hi":30,"kind":"path","lo":1,"ok":true,"sequences":[[30,28,26,24,22,20,18,16,14,12,10,8,6,'
+        '3,1,4,2,5,7,9,11,13,15,17,19,21,23,25,27,29]]}\n', "", id="diff23 30 --path --json"),
+    pytest.param(("verify", "--json"), '{"kind":"cycle","lo":1,"hi":4,"sequences":[[2,4,1,3]]}', 1,
+        '{"hi":4,"kind":"cycle","lo":1,"ok":false,"reason":"NonPrimeDifference","sequences":[[2,4,1,3]]}\n',
+        '{"detail":{"difference":1,"position":3},"error":"NonPrimeDifference"}\n', id="verify --json"),
+    pytest.param(("verify",), '{"kind":"two_factor","lo":1,"hi":7,"sequences":[[1,3,6],[2,4,5,7]]}', 1,
+        "violation: NonPrimeDifference\n",
+        '{"detail":{"cycle":1,"difference":1,"position":1},"error":"NonPrimeDifference"}\n', id="verify"),
+    pytest.param(("verify", "--json"), '{"sources":["pair:2,3","again"],"witnesses":[%s,%s]}' % (FAMILY_MEMBER, SAME_EDGES), 1,
+        '{"ok":false,"reason":"SharedEdge","sources":["pair:2,3","again"],"witnesses":[%s,%s]}\n'
+        % (FAMILY_MEMBER, SAME_EDGES),
+        '{"detail":{"cycles":[0,1],"edge":[1,4]},"error":"SharedEdge"}\n', id="verify --json < family"),
+    pytest.param(("two-prime", "16"), None, 0,
+        "1 4 7 10 13 16 3 6 9 12 15 2 5 8 11 14\n1 6 11 16 5 10 15 4 9 14 3 8 13 2 7 12\n", "",
+        id="two-prime 16"),
+    pytest.param(("two-prime", "16", "--json"), None, 0,
+        '{"ok":true,"witnesses":[{"hi":16,"kind":"cycle","lo":1,"sequences":[[1,4,7,10,13,16,3,6,9,12,15,2,5,8,11,14]]},'
+        '{"hi":16,"kind":"cycle","lo":1,"sequences":[[1,6,11,16,5,10,15,4,9,14,3,8,13,2,7,12]]}]}\n', "",
+        id="two-prime 16 --json"),
+    pytest.param(("two-prime", "9", "--pair", "2,7", "--json"), None, 0,
+        '{"hi":9,"kind":"cycle","lo":1,"ok":true,"sequences":[[1,3,5,7,9,2,4,6,8]]}\n', "",
+        id="two-prime 9 --pair 2,7 --json"),
+    pytest.param(("disjoint", "20"), None, 0,
+        "1 8 15 2 9 16 3 10 17 4 11 18 5 12 19 6 13 20 7 14\n11 9 7 5 2 4 1 3 6 8 10 12 14 16 19 17 20 18 15 13\n", "",
+        id="disjoint 20"),
+    pytest.param(("disjoint", "20", "--json"), None, 0,
+        '{"ok":true,"sources":["pair:7,13","diff23"],"witnesses":['
+        '{"hi":20,"kind":"cycle","lo":1,"sequences":[[1,8,15,2,9,16,3,10,17,4,11,18,5,12,19,6,13,20,7,14]]},'
+        '{"hi":20,"kind":"cycle","lo":1,"sequences":[[11,9,7,5,2,4,1,3,6,8,10,12,14,16,19,17,20,18,15,13]]}]}\n', "",
+        id="disjoint 20 --json"),
+    pytest.param(("ap", "6"), None, 0, "7 37 67 97 127 157\n", "", id="ap 6"),
+    pytest.param(("ap", "6", "--json"), None, 0, '{"ok":true,"progression":[7,37,67,97,127,157]}\n', "",
+        id="ap 6 --json"),
+    pytest.param(("ap", "12"), None, 1, "",
+        '{"detail":{"message":"no 12-term prime progression with first term and difference at most 10000"},'
+        '"error":"not_found"}\n', id="ap 12"),
+    pytest.param(("exceptions", "8"), None, 0, "(4,5)\n", "", id="exceptions 8"),
+    pytest.param(("exceptions", "8", "--json"), None, 0, '{"ok":true,"pairs":[[4,5]]}\n', "",
+        id="exceptions 8 --json"),
+    pytest.param(("exceptions", "9"), None, 0, "", "", id="exceptions 9"),
+    pytest.param(("exceptions", "7", "--oracle", "--json"), None, 0, '{"ok":true,"pairs":[[3,4],[4,5]]}\n', "",
+        id="exceptions 7 --oracle --json"),
+    pytest.param(("oracle-path", "12", "3", "4", "--json"), None, 0,
+        '{"hi":12,"kind":"path","lo":1,"ok":true,"sequences":[[3,1,6,8,5,2,7,10,12,9,11,4]]}\n', "",
+        id="oracle-path 12 3 4 --json"),
+    pytest.param(("oracle-path", "8", "4", "5"), None, 1, "",
+        '{"detail":{"endpoints":[4,5],"message":"no Hamilton path between 4 and 5 at order 8","n":8},'
+        '"error":"infeasible"}\n', id="oracle-path 8 4 5"),
+    pytest.param(("cycle", "9", "--through", "1,5"), None, 1, "",
+        '{"detail":{"message":"|1 - 5| = 4 is not prime"},"error":"non_edge"}\n', id="cycle 9 --through 1,5"),
+    pytest.param(("oracle-path", "23", "1", "2"), None, 1, "",
+        '{"detail":{"cap":22,"message":"order 23 exceeds brute-force cap 22","order":23},'
+        '"error":"order_cap_exceeded"}\n', id="oracle-path 23 1 2"),
+    pytest.param(("path", "4", "1", "2"), None, 2, "",
+        '{"detail":{"message":"order 4 below the supported range (n >= 5)"},"error":"usage"}\n',
+        id="path 4 1 2"),
+    pytest.param(("path", "9", "1", "2"), "fail-self-checks", 1, "",
+        '{"detail":{"message":"PathWitness self-check failed: NotPermutation None"},"error":"construction_error"}\n',
+        id="path 9 1 2"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, stdin, code, out, err",
-    PINNED_SWEEP,
-    # A family on stdin is named apart, so the id of each other row stays its argv.
-    ids=[" ".join(case[0]) + (" < family" if "witnesses" in (case[1] or "") else "") for case in PINNED_SWEEP],
-)
+@pytest.mark.parametrize("argv, stdin, code, out, err", PINNED_SWEEP)
 def test_pinned_sweep(argv, stdin, code, out, err, capsys, monkeypatch):
     """`stdin` is the text fed to the command, or "fail-self-checks" to make
     every constructor's self-check reject its witness.  The oracle runs at

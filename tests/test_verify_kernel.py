@@ -83,19 +83,19 @@ def test_verifier_peak_memory(big, name, check):
 
 
 def test_family_walks_each_member_once(big, monkeypatch):
-    # The member checks find each member's differences; the disjointness
-    # count reuses them instead of walking the steps a second time.
+    # One scan per member finds its vertex set and its differences; the
+    # disjointness count reuses them instead of walking the steps again.
     calls = []
 
-    def counted(seq, closed):
-        calls.append(len(seq))
-        return steps(seq, closed)
+    def counted(seqs, lo, hi, closed):
+        calls.append(len(seqs))
+        return scan(seqs, lo, hi, closed)
 
-    steps = graphs._steps
-    monkeypatch.setattr(graphs, "_steps", counted)
+    scan = graphs._scan
+    monkeypatch.setattr(graphs, "_scan", counted)
     fam = big["family"]
     assert verify(fam)
-    assert len(calls) == len(fam.cycles) == 128
+    assert calls == [1] * len(fam.cycles) and len(calls) == 128
 
 
 def test_shared_edge_owner_is_read_from_the_key_map(big, monkeypatch):
@@ -116,12 +116,12 @@ def test_shared_edge_owner_is_read_from_the_key_map(big, monkeypatch):
 
 
 @st.composite
-def covers_cases(draw):
+def covers_cases(draw, lo=None, n=None):
     """(seqs, lo, hi): int lists drawn from [lo - 2n, hi + 2n], n = hi - lo + 1,
     or near misses, a permutation of [lo, hi] cut into members (some empty)
-    with a few entries replaced."""
-    lo = draw(st.integers(1, 30))
-    n = draw(st.integers(1, 12))
+    with a few entries replaced.  lo and n are drawn unless given."""
+    lo = draw(st.integers(1, 30)) if lo is None else lo
+    n = draw(st.integers(1, 12)) if n is None else n
     hi = lo + n - 1
     value = st.integers(lo - 2 * n, hi + 2 * n)
     if draw(st.booleans()):
@@ -133,17 +133,41 @@ def covers_cases(draw):
     return [flat[i:j] for i, j in zip([0, *cuts], [*cuts, n])], lo, hi
 
 
+def _sorted_covers(seqs, lo, hi):
+    return bool(all(seqs) and sorted(chain(*seqs)) == list(range(lo, hi + 1)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(covers_cases())
-def test_covers_agrees_with_sorting(case):
+@given(covers_cases(), st.booleans())
+def test_covers_agrees_with_sorting(case, closed):
     seqs, lo, hi = case
-    assert graphs._covers(seqs, lo, hi) == (all(seqs) and sorted(chain(*seqs)) == list(range(lo, hi + 1)))
+    assert graphs._scan(seqs, lo, hi, closed)[0] == _sorted_covers(seqs, lo, hi)
 
 
 def test_covers_sees_a_vertex_below_the_interval():
-    # 0 - 1 indexes the last byte, which 3 would mark: only the sum tells.
-    assert not graphs._covers(((1, 2, 0),), 1, 3)
-    assert verify_path(graphs.PathWitness(Interval(1, 3), (1, 2, 0))).reason == NOT_PERMUTATION
+    # The mark is indexed by v on [1, 3]: -1 lands on the last byte, which 3
+    # would mark.  On [100, 104] it is indexed by v - 100, and 99 lands on
+    # the byte of 104.  In both only the sum tells, and in the second every
+    # step is prime, so the verdict rests on it.
+    assert not graphs._scan(((1, 2, -1),), 1, 3, False)[0]
+    assert verify_path(graphs.PathWitness(Interval(1, 3), (1, 2, -1))).reason == NOT_PERMUTATION
+    assert not graphs._scan(((100, 102, 99, 101, 103),), 100, 104, False)[0]
+    assert verify_path(graphs.PathWitness(Interval(100, 104), (100, 102, 99, 101, 103))).reason == NOT_PERMUTATION
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.booleans(), st.data())
+def test_scan_steps_agree_with_the_walk(far, closed, data):
+    # Both marking branches: an interval that starts at most its own length
+    # up (mark indexed by v) and one that starts past it (by v - lo).
+    n = data.draw(st.integers(1, 12))
+    lo = n + data.draw(st.integers(1, 40)) if far else data.draw(st.integers(1, n))
+    seqs, lo, hi = data.draw(covers_cases(lo, n))
+    covers, steps = graphs._scan(seqs, lo, hi, closed)
+    assert covers == _sorted_covers(seqs, lo, hi)
+    if covers:
+        walked = set(chain.from_iterable(graphs._steps(s, closed) for s in seqs))
+        assert steps == (walked if closed else walked - {0})
 
 
 # Families on [1, n] drawn from true members with true or false sources.
