@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import reprlib
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import sub
 
@@ -35,16 +34,44 @@ def adjacent(u: int, v: int) -> bool:
     return primes.is_prime(abs(u - v))
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Record:
+    """An immutable record of the fields its `__match_args__` names, each set
+    once by `__init__`.  Records are equal when they are of one class with
+    equal fields, hash by their fields, print as `Interval(lo=1, hi=9)`, and
+    pickle and deep-copy through their `__dict__`."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Interval(_Record):
     """Consecutive integers [lo, hi], the vertex set of one graph."""
 
-    lo: int
-    hi: int
+    __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int):
+        if not 1 <= lo <= hi:
+            raise ValueError(f"bad interval [{lo}, {hi}]")
+        d = self.__dict__
+        d["lo"], d["hi"] = lo, hi
 
     @property
     def order(self) -> int:
@@ -54,62 +81,67 @@ class Interval:
         return range(self.lo, self.hi + 1)
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(_Record):
     """A claimed Hamilton path of its interval."""
 
-    interval: Interval
-    sequence: tuple[int, ...]
+    __match_args__ = ("interval", "sequence")
+
+    def __init__(self, interval: Interval, sequence: tuple[int, ...]):
+        d = self.__dict__
+        d["interval"], d["sequence"] = interval, sequence
 
     @property
     def endpoints(self) -> tuple[int, int]:
         return (self.sequence[0], self.sequence[-1])
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(_Record):
     """A claimed Hamilton cycle; the wrap-around edge is implicit."""
 
-    interval: Interval
-    sequence: tuple[int, ...]
+    __match_args__ = ("interval", "sequence")
+    __init__ = PathWitness.__init__
 
 
-@dataclass(frozen=True)
-class TwoFactorWitness:
+class TwoFactorWitness(_Record):
     """Vertex-disjoint cycles claimed to cover the interval exactly.
 
     Individual cycles run over arbitrary subsets, not sub-intervals.
     """
 
-    interval: Interval
-    cycles: tuple[tuple[int, ...], ...]
+    __match_args__ = ("interval", "cycles")
+
+    def __init__(self, interval: Interval, cycles: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["interval"], d["cycles"] = interval, cycles
 
     @property
     def lengths(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, self.cycles)))
 
 
-@dataclass(frozen=True)
-class DisjointFamily:
+class DisjointFamily(_Record):
     """Pairwise edge-disjoint Hamilton cycles of one interval.
 
     `sources` label how each member was built, for output; no check reads them."""
 
-    interval: Interval
-    cycles: tuple[CycleWitness, ...]
-    sources: tuple[str, ...]
+    __match_args__ = ("interval", "cycles", "sources")
+
+    def __init__(self, interval: Interval, cycles: tuple[CycleWitness, ...], sources: tuple[str, ...]):
+        d = self.__dict__
+        d["interval"], d["cycles"], d["sources"] = interval, cycles, sources
 
     def __len__(self) -> int:
         return len(self.cycles)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of a verification; falsy iff a violation was found."""
 
-    ok: bool
-    reason: str | None = None
-    detail: dict | None = None
+    __match_args__ = ("ok", "reason", "detail")
+
+    def __init__(self, ok: bool, reason: str | None = None, detail: dict | None = None):
+        d = self.__dict__
+        d["ok"], d["reason"], d["detail"] = ok, reason, detail
 
     def __bool__(self) -> bool:
         return self.ok

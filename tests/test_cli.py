@@ -196,6 +196,37 @@ def test_closed_stdout_ends_quietly(argv):
     assert err == b""
 
 
+# What a child process imports beyond the interpreter's own start-up: the
+# modules it has after the import or the run, less those it had before, so
+# that site hooks do not count.
+NEW_MODULES = """
+import json, runpy, sys
+before = set(sys.modules)
+if sys.argv[1:]:
+    try:
+        runpy.run_module("primediff.cli", run_name="__main__")
+    except SystemExit:
+        pass
+else:
+    import primediff
+sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("argv", [(), ("path", "9", "4", "5")], ids=["import primediff", "primediff.cli path 9 4 5"])
+def test_no_dataclasses_inspect_or_ast_on_import(argv):
+    # dataclasses alone pulls in inspect, ast, dis and tokenize, most of the
+    # package's import time.
+    src = str(Path(primediff.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NEW_MODULES, *argv], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    new = set(json.loads(proc.stderr))
+    assert "primediff.graphs" in new
+    assert proc.stdout == (b"4 1 3 8 6 9 7 2 5\n" if argv else b"")
+    assert not new & {"dataclasses", "inspect", "ast"}
+
+
 def test_oracle_path_command(capsys):
     code, out, _ = invoke(capsys, "oracle-path", "9", "4", "5")
     assert code == 0
@@ -467,6 +498,9 @@ PINNED_SWEEP = [
     pytest.param(("oracle-path", "23", "1", "2"), None, 1, "",
         '{"detail":{"cap":22,"message":"order 23 exceeds brute-force cap 22","order":23},'
         '"error":"order_cap_exceeded"}\n', id="oracle-path 23 1 2"),
+    pytest.param(("oracle-path", "9", "1", "1"), None, 2, "",
+        '{"detail":{"message":"bad endpoints (1, 1) for Interval(lo=1, hi=9)"},"error":"usage"}\n',
+        id="oracle-path 9 1 1"),
     pytest.param(("path", "4", "1", "2"), None, 2, "",
         '{"detail":{"message":"order 4 below the supported range (n >= 5)"},"error":"usage"}\n',
         id="path 4 1 2"),

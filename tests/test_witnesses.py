@@ -1,4 +1,7 @@
-"""Verifier behavior: reason codes, canonical cycle form, JSON round-trips."""
+"""Verifier behavior: reason codes, canonical cycle form, JSON round-trips, records."""
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given
@@ -20,6 +23,7 @@ from primediff.graphs import (
     Interval,
     PathWitness,
     TwoFactorWitness,
+    Verdict,
     adjacent,
     canonical_cycle,
     certify,
@@ -227,6 +231,74 @@ def test_json_round_trip():
         "hi": 5,
         "sequences": [[1, 4, 2, 5, 3]],
     }
+
+
+# One record of each class.
+RECORDS = [
+    Interval(1, 9),
+    P5,
+    C9,
+    TwoFactorWitness(Interval(1, 7), ((1, 3, 6), (2, 5, 7, 4))),
+    DisjointFamily(Interval(1, 9), (C9, C9), ("pair:2,7", "again")),
+    Verdict(False, NON_PRIME_DIFFERENCE, {"position": 3, "difference": 1}),
+]
+
+
+def test_records_compare_by_class_and_fields():
+    path, cycle = PathWitness(C9.interval, C9.sequence), C9
+    assert path != cycle and cycle != path
+    assert path == PathWitness(Interval(1, 9), tuple(C9.sequence))
+    assert path.__eq__(cycle) is NotImplemented and path.__eq__((C9.interval, C9.sequence)) is NotImplemented
+    assert Interval(1, 9) != Interval(1, 8) and Interval(1, 9) != (1, 9)
+    assert hash(Interval(1, 9)) == hash(Interval(1, 9)) == hash((1, 9))
+    assert hash(path) == hash(PathWitness(Interval(1, 9), C9.sequence))
+    assert len({P5, PathWitness(Interval(1, 5), P5.sequence), C9}) == 2
+    with pytest.raises(TypeError):
+        hash(Verdict(False, NOT_PARTITION, {"cycle": 0}))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for name in type(record).__match_args__:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 1
+
+
+def test_records_take_keywords_and_defaults():
+    assert Interval(hi=9, lo=1) == Interval(1, 9)
+    assert PathWitness(sequence=P5.sequence, interval=P5.interval) == P5
+    assert DisjointFamily(Interval(1, 9), cycles=(C9,), sources=()) == DisjointFamily(Interval(1, 9), (C9,), ())
+    with pytest.raises(ValueError, match=r"bad interval \[3, 2\]"):
+        Interval(lo=3, hi=2)
+    ok = Verdict(True)
+    assert ok and (ok.ok, ok.reason, ok.detail) == (True, None, None)
+    assert not Verdict(ok=False, reason=SHORT_CYCLE)
+
+
+def test_records_print_in_dataclass_form():
+    assert repr(Interval(1, 9)) == "Interval(lo=1, hi=9)"
+    assert repr(P5) == "PathWitness(interval=Interval(lo=1, hi=5), sequence=(1, 4, 2, 5, 3))"
+    family = DisjointFamily(Interval(1, 9), (), ())
+    assert repr(family) == "DisjointFamily(interval=Interval(lo=1, hi=9), cycles=(), sources=())"
+    assert repr(Verdict(True)) == "Verdict(ok=True, reason=None, detail=None)"
+    assert repr(RECORDS[-1]) == "Verdict(ok=False, reason='NonPrimeDifference', detail={'position': 3, 'difference': 1})"
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_pickle_and_deepcopy(record):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is type(record) and back == record
+    back = copy.deepcopy(record)
+    assert type(back) is type(record) and back == record
+    assert copy.copy(record) == record
+    # A copy is as immutable as its original.
+    with pytest.raises(AttributeError):
+        setattr(back, type(back).__match_args__[0], None)
 
 
 def test_json_rejects_malformed():
