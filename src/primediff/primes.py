@@ -7,20 +7,29 @@ never size it up front.
 from __future__ import annotations
 
 import threading
-from itertools import compress
 from math import isqrt
 
 
+# Flags of 0..29 for the residues prime to 2, 3 and 5.
+_WHEEL30 = bytes(1 if i % 2 and i % 3 and i % 5 else 0 for i in range(30))
+
+
 def _sieve_flags(limit: int) -> bytearray:
-    """Byte flags for 0..limit, flag[k] == 1 iff k is prime."""
-    flags = bytearray(limit + 1)
-    if limit >= 2:
-        flags[2:] = b"\x01" * (limit - 1)
-        for p in range(2, isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
+    """Byte flags for 0..limit, flag[k] == 1 iff k is prime.
+
+    Starts from the period-30 pattern of the residues prime to 2, 3 and 5,
+    so only the odd multiples of primes from 7 on are struck.
+    """
+    flags = bytearray(_WHEEL30) * (limit // 30 + 1)
+    del flags[limit + 1 :]
+    flags[1:6] = b"\x00\x01\x01\x00\x01"[: len(flags) - 1]
+    for p in range(7, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: 2 * p] = bytes((limit - p * p) // (2 * p) + 1)
     return flags
 
+
+_BLOCK = 1 << 10  # first terms tested together per difference
 
 _lock = threading.Lock()
 _flags = _sieve_flags(1 << 10)
@@ -92,10 +101,21 @@ def prime_arithmetic_progression(
     l >= a + d >= 2 + (product of the primes below l) > l; were a > l, that
     multiple would exceed l.  A prime k with a > k divides d for the last
     reason.  So once W passes the limit the box is empty, and the sieve is
-    not grown for it.
+    not grown for it.  The first reason also rules out every first term
+    a < k: term a of a, a + d, ... is a(1 + d).  So first terms run from k.
 
-    Only prime first terms are visited, and each difference is probed with
-    one strided slice of the sieve holding its k - 1 later terms.
+    Blocks: first terms are taken _BLOCK at a time, in ascending order; a
+    prime k is a first-term block of its own, stepping by W.  For each
+    difference d of a block, in ascending order, the k sieve windows
+    flags[lo + j*d : hi + j*d] are read as integers and ANDed; byte i of the
+    result is set iff lo + i starts a progression of k primes with
+    difference d, so its lowest set byte is the block's least such first
+    term.  Lexicographically, later differences of the block look only below
+    the least first term found, and the first block with a hit ends the
+    search.  For the least end sum, each window is cut to the first terms a
+    with 2a + (k-1)d at most the best sum so far (a tie keeps the smaller
+    first term), and the search ends at the first block whose least first
+    term cannot beat the best sum with the block's least difference.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -113,20 +133,38 @@ def prime_arithmetic_progression(
                 return None
     _ensure(search_limit * k)
     flags = _flags
-    past_k = wheel * k if flags[k] else wheel
-    best = None
-    for first in compress(range(search_limit + 1), flags[: search_limit + 1]):
-        # Once one is found, only differences that give a smaller end sum.
-        top = search_limit if best is None else min(search_limit, (best[0] + best[-1] - 2 * first - 1) // (k - 1))
-        if top < 1:
+    end = search_limit + 1
+    k_prime = flags[k]
+    blocks = [(k, k + 1, wheel)] if k_prime and k < end else []
+    past_k = wheel * k if k_prime else wheel
+    blocks += ((lo, min(lo + _BLOCK, end), past_k) for lo in range(k + k_prime, end, _BLOCK))
+    best = None  # (first + last, first, difference)
+    for lo, top, step in blocks:
+        if best is not None and 2 * lo + (k - 1) * step >= best[0]:
             break
-        step = past_k if first > k else wheel
-        for d in range(step, top + 1, step):
-            # The sieve covers limit * k >= first + (k - 1) * d, so the slice
-            # holds all k - 1 later terms and never runs off its end.
-            if 0 not in flags[first + d : first + k * d : d]:
-                best = tuple(range(first, first + k * d, d))
-                if not least_end_sum:
-                    return best
+        hi = top
+        for d in range(step, end, step):
+            if best is not None and least_end_sum:
+                hi = min(top, (best[0] - (k - 1) * d) // 2 + 1)
+            if hi <= lo:
                 break
-    return best
+            # The sieve covers limit * k >= first + (k - 1) * d, so no
+            # window runs off its end.
+            hits = -1
+            for j in range(0, k * d, d):
+                hits &= int.from_bytes(flags[lo + j : hi + j], "little")
+                if not hits:
+                    break
+            if hits:
+                first = lo + ((hits & -hits).bit_length() >> 3)
+                key = (2 * first + (k - 1) * d, first, d)
+                if not least_end_sum:
+                    best, hi = key, first
+                elif best is None or key < best:
+                    best = key
+        if best is not None and not least_end_sum:
+            break
+    if best is None:
+        return None
+    _, first, d = best
+    return tuple(range(first, first + k * d, d))

@@ -82,6 +82,11 @@ def test_progression_goldens():
 def test_progression_goldens_long():
     assert prime_arithmetic_progression(12, 200_000) == tuple(4943 + 60060 * j for j in range(12))
     assert prime_arithmetic_progression(11, 5_000) is None
+    assert prime_arithmetic_progression(12, 100_000) == tuple(4943 + 60060 * j for j in range(12))
+    assert prime_arithmetic_progression(14, 100_000) is None
+    assert prime_arithmetic_progression(12, 120_000, least_end_sum=True) == tuple(
+        110437 + 13860 * j for j in range(12)
+    )
 
 
 def naive_progression(k: int, limit: int):
@@ -118,27 +123,75 @@ def naive_least_end_sum(k: int, limit: int):
 @pytest.mark.parametrize("k", range(2, 11))
 def test_progression_least_end_sum_matches_naive_scan(k):
     # From k = 9 the wheel is 210, so only a limit past it reaches first
-    # terms below k.
-    for limit in (30, 200) if k <= 8 else (250,):
+    # terms below k.  1,100 first terms run past one block of first terms.
+    for limit in ((30, 200) if k <= 8 else (250,)) + ((1_100,) if k in (3, 4, 5) else ()):
         assert prime_arithmetic_progression(k, limit, least_end_sum=True) == naive_least_end_sum(k, limit)
+
+
+def test_progression_end_sum_tie_goes_to_the_smaller_first_term(monkeypatch):
+    # Prime progressions in small boxes do not tie on the end sum, so this
+    # sieve is made up: 20 + 6j and 11 + 12j (j < 4) both sum to 58, and the
+    # later difference holds the smaller first term.
+    fake = bytearray(200)
+    for v in (2, 3, 11, 20, 23, 26, 32, 35, 38, 47):
+        fake[v] = 1
+    monkeypatch.setattr(primes, "_flags", fake)
+    assert prime_arithmetic_progression(4, 20, least_end_sum=True) == (11, 23, 35, 47)
+    assert prime_arithmetic_progression(4, 20) == (11, 23, 35, 47)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_progression_block_size_does_not_change_the_answer(monkeypatch, k):
+    # Small blocks put answers, hits and end-sum cut-offs on block edges.
+    want = {limit: (naive_progression(k, limit), naive_least_end_sum(k, limit)) for limit in (30, 200)}
+    for block in (1, 2, 7, 64):
+        monkeypatch.setattr(primes, "_BLOCK", block)
+        for limit, (first, least) in want.items():
+            assert prime_arithmetic_progression(k, limit) == first
+            assert prime_arithmetic_progression(k, limit, least_end_sum=True) == least
+
+
+def counting_flags(monkeypatch, limit):
+    """Swap the shared sieve, grown to `limit`, for one that counts lookups."""
+    lookups = [0]
+
+    class Counting(bytearray):
+        def __getitem__(self, i):
+            lookups[0] += 1
+            return super().__getitem__(i)
+
+    prime_flags(limit)
+    monkeypatch.setattr(primes, "_flags", Counting(primes._flags))
+    return lookups
 
 
 def test_progression_steps_by_the_full_wheel(monkeypatch):
     # Every prime below k divides the difference whatever the first term, so
-    # first terms 2, 3, 5 and 7 step by 210 too, not by 1, 2, 6 and 30.  Each
-    # candidate difference costs one strided slice, one lookup: about 2,100.
-    lookups = 0
-
-    class Counting(bytearray):
-        def __getitem__(self, i):
-            nonlocal lookups
-            lookups += 1
-            return super().__getitem__(i)
-
-    prime_flags(10 * 10_000)
-    monkeypatch.setattr(primes, "_flags", Counting(primes._flags))
+    # differences step by 210, and first terms 2, 3, 5 and 7 are not tried.
+    # Each difference costs a block of first terms at most k window slices,
+    # one lookup each: about 330 here.
+    lookups = counting_flags(monkeypatch, 10 * 10_000)
     assert prime_arithmetic_progression(10, 10_000) == tuple(199 + 210 * j for j in range(10))
-    assert lookups < 2_500
+    assert lookups[0] < 2_500
+
+
+@pytest.mark.parametrize(
+    "k, limit, least_end_sum, answer, budget",
+    [
+        # Empty box: first term 11 with its 23 differences, then five blocks
+        # of first terms with two differences each.
+        (11, 5_000, False, None, 200),
+        # The first block's first difference finds 199 + 210j, and the next
+        # block cannot beat its end sum.
+        (10, 10_000, True, tuple(199 + 210 * j for j in range(10)), 50),
+    ],
+)
+def test_progression_tests_a_block_of_first_terms_per_lookup(
+    monkeypatch, k, limit, least_end_sum, answer, budget
+):
+    lookups = counting_flags(monkeypatch, k * limit)
+    assert prime_arithmetic_progression(k, limit, least_end_sum=least_end_sum) == answer
+    assert lookups[0] <= budget
 
 
 def test_progression_exhaustion_and_validation():
